@@ -24,7 +24,8 @@
 //!   floating-point round-off;
 //! * **`Gravity`** is long-range and cannot be ghosted: ranks allgather the
 //!   global `(x, y, z, m)` arrays and evaluate the same Barnes–Hut tree
-//!   every rank would build single-rank;
+//!   every rank would build single-rank; the walk also yields each rank's
+//!   share of the potential energy for the step summary;
 //! * **`Timestep`** reduces the Courant criterion over *owned* particles only
 //!   (ghost accelerations are locally incomplete) and agrees globally through
 //!   [`cluster::Comm::allreduce_min`].
@@ -44,7 +45,7 @@ use crate::physics::avswitches::{update_av_switches_binned, update_av_switches_r
 use crate::physics::density::{compute_density_rows, update_smoothing_length_rows};
 use crate::physics::eos::apply_eos_rows;
 use crate::physics::gradh::compute_gradh_rows;
-use crate::physics::gravity::potential_energy_slices;
+use crate::physics::gravity::{kick, Sources, DEFAULT_THETA};
 use crate::physics::iad::compute_div_curl_rows;
 use crate::physics::momentum::compute_momentum_energy_rows;
 use crate::physics::timestep::{courant_timestep_prefix, update_quantities, update_quantities_binned, TimestepBins};
@@ -447,6 +448,8 @@ pub struct DistributedSimulation {
     active_rows: Vec<u32>,
     /// Per-rung row scratch of the binned AV-switch update (reused buffer).
     rung_rows: Vec<u32>,
+    /// Global total energy of the current cycle's start (binned runs only).
+    cycle_energy: f64,
     /// Active rows whose CSR row stays clear of ghost slots (reused buffer).
     active_interior_rows: Vec<u32>,
     /// Active rows whose CSR row reads at least one ghost slot (reused buffer).
@@ -505,6 +508,7 @@ impl DistributedSimulation {
             timestep_bins: None,
             active_rows: Vec::new(),
             rung_rows: Vec::new(),
+            cycle_energy: 0.0,
             active_interior_rows: Vec::new(),
             active_halo_rows: Vec::new(),
             overlap: OverlapStats::default(),
@@ -1085,12 +1089,13 @@ impl DistributedSimulation {
         }
         self.assert_finite_owned(SphStage::MomentumEnergy);
 
+        let mut e_pot = 0.0;
         if self.scenario.has_gravity() {
             let comm = &self.comm;
             let particles = &mut self.particles;
             let n_owned = self.n_owned;
             let softening = self.softening;
-            Self::instrument(&hooks, &tel, rank_tag, SphStage::Gravity.label(), || {
+            e_pot = Self::instrument(&hooks, &tel, rank_tag, SphStage::Gravity.label(), || {
                 add_gravity_global(comm, particles, n_owned, softening)
             });
             self.assert_finite_owned(SphStage::Gravity);
@@ -1116,6 +1121,7 @@ impl DistributedSimulation {
             self.scenario.short_name()
         );
 
+        let local_energy = self.owned_kinetic_internal() + e_pot;
         Self::instrument(&hooks, &tel, rank_tag, SphStage::UpdateQuantities.label(), || {
             update_quantities(&mut self.particles, dt)
         });
@@ -1128,7 +1134,7 @@ impl DistributedSimulation {
             step: self.step,
             dt,
             time: self.time,
-            total_energy: self.total_energy(),
+            total_energy: self.comm.allreduce_sum(local_energy),
         };
         drop(step_span);
         self.emit_step_telemetry(&summary, self.rebalance_count > rebalances_before);
@@ -1343,13 +1349,14 @@ impl DistributedSimulation {
         }
         self.assert_finite_owned(SphStage::MomentumEnergy);
 
+        let mut e_pot = 0.0;
         if self.scenario.has_gravity() {
             let comm = &self.comm;
             let particles = &mut self.particles;
             let n_owned = self.n_owned;
             let softening = self.softening;
             let rows: &[u32] = &active;
-            Self::instrument(&hooks, &tel, rank_tag, SphStage::Gravity.label(), || {
+            e_pot = Self::instrument(&hooks, &tel, rank_tag, SphStage::Gravity.label(), || {
                 add_gravity_global_rows(comm, particles, n_owned, softening, rows)
             });
             self.assert_finite_owned(SphStage::Gravity);
@@ -1407,11 +1414,17 @@ impl DistributedSimulation {
             self.scenario.short_name()
         );
 
+        // Every owned row was walked at the cycle start, so e_pot is the
+        // shard's whole share there; mid-cycle the energy is carried.
+        let local_energy = sync_start.then(|| self.owned_kinetic_internal() + e_pot);
         Self::instrument(&hooks, &tel, rank_tag, SphStage::UpdateQuantities.label(), || {
             update_quantities_binned(&mut self.particles, &bins)
         });
         self.assert_finite_owned(SphStage::UpdateQuantities);
 
+        if let Some(local) = local_energy {
+            self.cycle_energy = self.comm.allreduce_sum(local);
+        }
         self.time += dt;
         self.step += 1;
         self.last_dt = dt;
@@ -1419,7 +1432,7 @@ impl DistributedSimulation {
             step: self.step,
             dt,
             time: self.time,
-            total_energy: self.total_energy(),
+            total_energy: self.cycle_energy,
         };
         drop(step_span);
         self.emit_bins_telemetry(&bins, sync_start);
@@ -1609,50 +1622,32 @@ impl DistributedSimulation {
         (0..n).map(|_| self.step()).collect()
     }
 
-    /// Global total energy: kinetic + internal (all-reduced over owned
-    /// particles), plus gravitational potential for self-gravitating runs
-    /// (pair-summed on rank 0 over gathered global state and broadcast).
+    /// Kinetic + internal energy of the owned particles.
+    fn owned_kinetic_internal(&self) -> f64 {
+        let p = &self.particles;
+        let mut e = 0.0;
+        for i in 0..self.n_owned {
+            e += 0.5 * p.m[i] * (p.vx[i].powi(2) + p.vy[i].powi(2) + p.vz[i].powi(2));
+            e += p.m[i] * p.u[i];
+        }
+        e
+    }
+
+    /// Global total energy of the current state: kinetic + internal, plus
+    /// the gravitational potential for self-gravitating runs from one
+    /// Barnes–Hut walk of the owned rows over the global tree (O(N log N)),
+    /// all-reduced in one sum.
     ///
     /// Collective: every rank must call this together.
     pub fn total_energy(&self) -> f64 {
-        let n = self.n_owned;
-        let p = &self.particles;
-        let mut local = 0.0;
-        for i in 0..n {
-            local += 0.5 * p.m[i] * (p.vx[i].powi(2) + p.vy[i].powi(2) + p.vz[i].powi(2));
-            local += p.m[i] * p.u[i];
-        }
-        let mut e = self.comm.allreduce_sum(local);
+        let mut local = self.owned_kinetic_internal();
         if self.scenario.has_gravity() {
-            // The O(N²) pair sum runs on rank 0 only (over gathered global
-            // arrays) and the value is broadcast — every other rank doing the
-            // same serial sum would just burn R× the work for an identical
-            // result.
-            let payload = (
-                p.x[..n].to_vec(),
-                p.y[..n].to_vec(),
-                p.z[..n].to_vec(),
-                p.m[..n].to_vec(),
-            );
-            let gathered = self.comm.gather(payload, 0);
-            // Only the root produces a value: the closure runs on rank 0
-            // alone, where the gather returned `Some`.
-            e += self.comm.broadcast(0, || {
-                let blocks = gathered.expect("rank 0 gathers every block");
-                let mut x = Vec::new();
-                let mut y = Vec::new();
-                let mut z = Vec::new();
-                let mut m = Vec::new();
-                for (bx, by, bz, bm) in blocks {
-                    x.extend_from_slice(&bx);
-                    y.extend_from_slice(&by);
-                    z.extend_from_slice(&bz);
-                    m.extend_from_slice(&bm);
-                }
-                potential_energy_slices(&x, &y, &z, &m, self.softening)
-            });
+            let global = GlobalSources::gather(&self.comm, &self.particles, self.n_owned);
+            let tree = global.tree();
+            let (_, e_pot) = global.sources().walk(&tree, DEFAULT_THETA, self.softening, self.n_owned, |k| k);
+            local += e_pot;
         }
-        e
+        self.comm.allreduce_sum(local)
     }
 
     /// Consume the shard, returning its owned particles and their global ids
@@ -1810,86 +1805,95 @@ fn exchange_ghost_rungs(comm: &Comm, send_lists: &[Vec<usize>], particles: &mut 
     debug_assert_eq!(slot, particles.len(), "rung exchange out of sync with the ghost tail");
 }
 
-/// Allgather the owned `(x, y, z, m)` arrays of every rank, concatenated in
-/// rank order. Returns identical data on every rank.
-fn allgather_positions_masses(
-    comm: &Comm,
-    p: &ParticleSet,
-    n_owned: usize,
-) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>) {
-    let payload = (
-        p.x[..n_owned].to_vec(),
-        p.y[..n_owned].to_vec(),
-        p.z[..n_owned].to_vec(),
-        p.m[..n_owned].to_vec(),
-    );
-    let gathered = comm.allgather(payload);
-    let mut x = Vec::new();
-    let mut y = Vec::new();
-    let mut z = Vec::new();
-    let mut m = Vec::new();
-    for (gx, gy, gz, gm) in gathered {
-        x.extend_from_slice(&gx);
-        y.extend_from_slice(&gy);
-        z.extend_from_slice(&gz);
-        m.extend_from_slice(&gm);
+/// The owned `(x, y, z, m)` arrays of every rank, concatenated in rank order
+/// (identical on every rank), and the offset of this rank's block in them.
+struct GlobalSources {
+    x: Vec<f64>,
+    y: Vec<f64>,
+    z: Vec<f64>,
+    m: Vec<f64>,
+    my_start: usize,
+}
+
+impl GlobalSources {
+    /// Allgather every rank's owned positions and masses.
+    fn gather(comm: &Comm, p: &ParticleSet, n_owned: usize) -> Self {
+        let payload = (
+            p.x[..n_owned].to_vec(),
+            p.y[..n_owned].to_vec(),
+            p.z[..n_owned].to_vec(),
+            p.m[..n_owned].to_vec(),
+        );
+        let gathered = comm.allgather(payload);
+        let my_start = gathered[..comm.rank()].iter().map(|block| block.0.len()).sum();
+        let mut out = Self {
+            x: Vec::new(),
+            y: Vec::new(),
+            z: Vec::new(),
+            m: Vec::new(),
+            my_start,
+        };
+        for (gx, gy, gz, gm) in gathered {
+            out.x.extend_from_slice(&gx);
+            out.y.extend_from_slice(&gy);
+            out.z.extend_from_slice(&gz);
+            out.m.extend_from_slice(&gm);
+        }
+        out
     }
-    (x, y, z, m)
+
+    /// The global tree — identical on every rank, since the arrays are.
+    fn tree(&self) -> Octree {
+        Octree::build(&self.x, &self.y, &self.z, &self.m, MAX_LEAF_SIZE)
+    }
+
+    /// Walk sources with this rank's owned slot `i` at `my_start + i`.
+    fn sources(&self) -> Sources<'_> {
+        Sources {
+            x: &self.x,
+            y: &self.y,
+            z: &self.z,
+            m: &self.m,
+            offset: self.my_start,
+        }
+    }
 }
 
 /// Barnes–Hut gravity over the *global* particle distribution: allgather
-/// positions and masses, build the global tree (identical on every rank, since
-/// the gathered arrays are), and accelerate this rank's owned particles.
-fn add_gravity_global(comm: &Comm, particles: &mut ParticleSet, n_owned: usize, softening: f64) {
-    let (x, y, z, m) = allgather_positions_masses(comm, particles, n_owned);
-    let tree = Octree::build(&x, &y, &z, &m, MAX_LEAF_SIZE);
-    // Offset of this rank's block in the gathered arrays.
-    let offsets = comm.allgather(n_owned);
-    let my_start: usize = offsets[..comm.rank()].iter().sum();
-    for i in 0..n_owned {
-        let (gx, gy, gz) = tree.gravity_at(
-            (particles.x[i], particles.y[i], particles.z[i]),
-            crate::physics::gravity::DEFAULT_THETA,
-            softening,
-            &x,
-            &y,
-            &z,
-            &m,
-            my_start + i,
-        );
-        particles.ax[i] += gx;
-        particles.ay[i] += gy;
-        particles.az[i] += gz;
-    }
+/// positions and masses, build the global tree, and accelerate this rank's
+/// owned particles. Returns their share `½ Σ mᵢ φᵢ` of the global potential
+/// energy.
+fn add_gravity_global(comm: &Comm, particles: &mut ParticleSet, n_owned: usize, softening: f64) -> f64 {
+    let global = GlobalSources::gather(comm, particles, n_owned);
+    let tree = global.tree();
+    let (acc, e_pot) = global.sources().walk(&tree, DEFAULT_THETA, softening, n_owned, |k| k);
+    kick(particles, &acc, |k| k);
+    e_pot
 }
 
 /// [`add_gravity_global`] restricted to `rows` (the active owned rows of this
 /// substep). The allgather and the global tree build still run on every rank
 /// on every substep — the collective schedule must stay in lock-step
 /// regardless of local activity — but only the given rows are accelerated;
-/// frozen particles keep the acceleration of their own last kick.
-fn add_gravity_global_rows(comm: &Comm, particles: &mut ParticleSet, n_owned: usize, softening: f64, rows: &[u32]) {
-    let (x, y, z, m) = allgather_positions_masses(comm, particles, n_owned);
-    let tree = Octree::build(&x, &y, &z, &m, MAX_LEAF_SIZE);
-    let offsets = comm.allgather(n_owned);
-    let my_start: usize = offsets[..comm.rank()].iter().sum();
-    for &row in rows {
-        let i = row as usize;
-        debug_assert!(i < n_owned, "gravity rows must be owned rows");
-        let (gx, gy, gz) = tree.gravity_at(
-            (particles.x[i], particles.y[i], particles.z[i]),
-            crate::physics::gravity::DEFAULT_THETA,
-            softening,
-            &x,
-            &y,
-            &z,
-            &m,
-            my_start + i,
-        );
-        particles.ax[i] += gx;
-        particles.ay[i] += gy;
-        particles.az[i] += gz;
-    }
+/// frozen particles keep the acceleration of their own last kick. Returns
+/// `½ Σ mᵢ φᵢ` over `rows`.
+fn add_gravity_global_rows(
+    comm: &Comm,
+    particles: &mut ParticleSet,
+    n_owned: usize,
+    softening: f64,
+    rows: &[u32],
+) -> f64 {
+    debug_assert!(
+        rows.iter().all(|&r| (r as usize) < n_owned),
+        "gravity rows must be owned rows"
+    );
+    let global = GlobalSources::gather(comm, particles, n_owned);
+    let tree = global.tree();
+    let slot = |k: usize| rows[k] as usize;
+    let (acc, e_pot) = global.sources().walk(&tree, DEFAULT_THETA, softening, rows.len(), slot);
+    kick(particles, &acc, slot);
+    e_pot
 }
 
 /// One rank's final state from [`run_distributed`].

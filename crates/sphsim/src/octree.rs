@@ -535,9 +535,13 @@ impl Octree {
         self.for_each_within(center, radius, x, y, z, |p| out.push(p as usize));
     }
 
-    /// Barnes–Hut gravitational acceleration at `pos` with opening angle
-    /// `theta` and softening `eps`, excluding the particle `self_idx` (pass
-    /// `usize::MAX` to include everything).
+    /// Barnes–Hut gravitational acceleration and potential `φ` at `pos` with
+    /// opening angle `theta` and softening `eps`, excluding the particle
+    /// `self_idx` (pass `usize::MAX` to include everything).
+    ///
+    /// `φ = -Σ m / sqrt(d² + eps²)` over the same leaf particles and accepted
+    /// monopoles the acceleration sums, so a particle's potential energy
+    /// comes with its force at no extra traversal.
     #[allow(clippy::too_many_arguments)] // mirrors the flat SoA particle layout
     pub fn gravity_at(
         &self,
@@ -549,8 +553,9 @@ impl Octree {
         z: &[f64],
         m: &[f64],
         self_idx: usize,
-    ) -> (f64, f64, f64) {
+    ) -> ((f64, f64, f64), f64) {
         let mut acc = (0.0, 0.0, 0.0);
+        let mut phi = 0.0;
         let mut stack = [0u32; Self::TRAVERSAL_STACK];
         let mut top = 1usize;
         while top > 0 {
@@ -580,6 +585,8 @@ impl Octree {
                         acc.0 += f * dx;
                         acc.1 += f * dy;
                         acc.2 += f * dz;
+                        // m / d, as a multiply on the force factor.
+                        phi -= f * d2;
                     }
                 } else {
                     // Accept the monopole of this internal node.
@@ -587,6 +594,7 @@ impl Octree {
                     acc.0 += f * dx;
                     acc.1 += f * dy;
                     acc.2 += f * dz;
+                    phi -= f * dist2;
                 }
             } else if let Some(children) = node.children {
                 debug_assert!(top + 8 <= Self::TRAVERSAL_STACK);
@@ -596,7 +604,7 @@ impl Octree {
                 }
             }
         }
-        acc
+        (acc, phi)
     }
 }
 
@@ -717,7 +725,7 @@ mod tests {
         let tree = Octree::build(&x, &y, &z, &m, 8);
         let eps = 0.01;
         let pos = (0.5, 0.5, 0.5);
-        let tree_acc = tree.gravity_at(pos, 0.0, eps, &x, &y, &z, &m, usize::MAX);
+        let (tree_acc, _) = tree.gravity_at(pos, 0.0, eps, &x, &y, &z, &m, usize::MAX);
         let mut direct = (0.0, 0.0, 0.0);
         for j in 0..200 {
             let dx = x[j] - pos.0;
@@ -742,8 +750,8 @@ mod tests {
         let tree = Octree::build(&x, &y, &z, &m, 16);
         let eps = 0.02;
         let pos = (0.1, 0.9, 0.2);
-        let approx = tree.gravity_at(pos, 0.5, eps, &x, &y, &z, &m, usize::MAX);
-        let exact = tree.gravity_at(pos, 0.0, eps, &x, &y, &z, &m, usize::MAX);
+        let (approx, _) = tree.gravity_at(pos, 0.5, eps, &x, &y, &z, &m, usize::MAX);
+        let (exact, _) = tree.gravity_at(pos, 0.0, eps, &x, &y, &z, &m, usize::MAX);
         let mag = (exact.0 * exact.0 + exact.1 * exact.1 + exact.2 * exact.2).sqrt();
         let err = ((approx.0 - exact.0).powi(2) + (approx.1 - exact.1).powi(2) + (approx.2 - exact.2).powi(2)).sqrt();
         assert!(err / mag < 0.05, "relative BH error {}", err / mag);

@@ -14,7 +14,7 @@ use crate::physics::density::{
 };
 use crate::physics::eos::{apply_eos, apply_eos_rows};
 use crate::physics::gradh::{compute_gradh, compute_gradh_rows};
-use crate::physics::gravity::{add_gravity, add_gravity_rows, potential_energy_direct, DEFAULT_THETA};
+use crate::physics::gravity::{add_gravity, add_gravity_rows, potential_energy_tree, DEFAULT_THETA};
 use crate::physics::iad::{compute_div_curl, compute_div_curl_rows};
 use crate::physics::momentum::{compute_momentum_energy, compute_momentum_energy_rows};
 use crate::physics::timestep::{courant_timestep, update_quantities, update_quantities_binned, TimestepBins};
@@ -69,7 +69,14 @@ pub struct StepSummary {
     pub dt: f64,
     /// Simulation time after the step.
     pub time: f64,
-    /// Total energy (kinetic + internal [+ potential]) after the step.
+    /// Total energy (kinetic + internal [+ potential]) of the synchronised
+    /// state the step's `Gravity` stage saw: kinetic and internal energy
+    /// from the velocities and `u` before the step's kick, and the potential
+    /// energy `½ Σ mᵢ φᵢ` from the stage's own Barnes–Hut walk. At θ = 0.5
+    /// that is ~1e-4 relative to the exact pair sum on an Evrard sphere (the
+    /// bound is pinned in `physics::gravity`'s tests). With timestep bins this
+    /// is the state at the start of the current cycle, carried unchanged
+    /// through its mid-cycle substeps.
     pub total_energy: f64,
 }
 
@@ -120,6 +127,8 @@ pub struct Simulation {
     active_rows: Vec<u32>,
     /// Per-rung row scratch of the binned AV-switch update.
     rung_rows: Vec<u32>,
+    /// Total energy of the current cycle's start (binned runs only).
+    cycle_energy: f64,
     time: f64,
     step: u64,
     last_dt: f64,
@@ -151,6 +160,7 @@ impl Simulation {
             timestep_bins: None,
             active_rows: Vec::new(),
             rung_rows: Vec::new(),
+            cycle_energy: 0.0,
             time: 0.0,
             step: 0,
             last_dt: DEFAULT_INITIAL_DT,
@@ -296,12 +306,13 @@ impl Simulation {
         self.step
     }
 
-    /// Total energy: kinetic + internal, plus gravitational potential for
-    /// self-gravitating runs.
+    /// Total energy of the current state: kinetic + internal, plus the
+    /// gravitational potential for self-gravitating runs from one Barnes–Hut
+    /// walk over a fresh tree (O(N log N)).
     pub fn total_energy(&self) -> f64 {
         let mut e = self.particles.kinetic_energy() + self.particles.internal_energy();
         if self.scenario.has_gravity() {
-            e += potential_energy_direct(&self.particles, self.softening);
+            e += potential_energy_tree(&self.particles, self.softening);
         }
         e
     }
@@ -456,9 +467,10 @@ impl Simulation {
         });
         self.assert_finite_after(SphStage::MomentumEnergy);
 
+        let mut e_pot = 0.0;
         if self.scenario.has_gravity() {
             let tree = self.workspace.tree();
-            Self::instrument(&hooks, &tel, SphStage::Gravity.label(), || {
+            e_pot = Self::instrument(&hooks, &tel, SphStage::Gravity.label(), || {
                 add_gravity(&mut self.particles, tree, DEFAULT_THETA, self.softening)
             });
             self.assert_finite_after(SphStage::Gravity);
@@ -483,6 +495,7 @@ impl Simulation {
             self.scenario.short_name()
         );
 
+        let total_energy = self.particles.kinetic_energy() + self.particles.internal_energy() + e_pot;
         Self::instrument(&hooks, &tel, SphStage::UpdateQuantities.label(), || {
             update_quantities(&mut self.particles, dt)
         });
@@ -495,7 +508,7 @@ impl Simulation {
             step: self.step,
             dt,
             time: self.time,
-            total_energy: self.total_energy(),
+            total_energy,
         };
         drop(step_span);
         self.emit_step_telemetry(&summary, reorder_due);
@@ -617,9 +630,10 @@ impl Simulation {
         });
         self.assert_finite_after(SphStage::MomentumEnergy);
 
+        let mut e_pot = 0.0;
         if self.scenario.has_gravity() {
             let tree = self.workspace.tree();
-            Self::instrument(&hooks, &tel, SphStage::Gravity.label(), || {
+            e_pot = Self::instrument(&hooks, &tel, SphStage::Gravity.label(), || {
                 add_gravity_rows(&mut self.particles, tree, DEFAULT_THETA, self.softening, &active)
             });
             self.assert_finite_after(SphStage::Gravity);
@@ -660,6 +674,11 @@ impl Simulation {
             self.scenario.short_name()
         );
 
+        // Every row was walked at the cycle start, so e_pot is the whole
+        // set's there; mid-cycle it covers the active rows only.
+        if sync {
+            self.cycle_energy = self.particles.kinetic_energy() + self.particles.internal_energy() + e_pot;
+        }
         Self::instrument(&hooks, &tel, SphStage::UpdateQuantities.label(), || {
             update_quantities_binned(&mut self.particles, &bins)
         });
@@ -672,7 +691,7 @@ impl Simulation {
             step: self.step,
             dt,
             time: self.time,
-            total_energy: self.total_energy(),
+            total_energy: self.cycle_energy,
         };
         drop(step_span);
         self.emit_bins_telemetry(&bins, sync);
@@ -825,6 +844,41 @@ mod tests {
         let scale = e_start.abs().max(1e-3);
         let drift = (e_end - e_start).abs() / scale;
         assert!(drift < 0.25, "energy drift {drift} too large ({e_start} -> {e_end})");
+    }
+
+    #[test]
+    fn summary_energy_is_the_state_before_the_kick() {
+        // The Gravity stage walks the same tree a fresh `total_energy()`
+        // builds, so without reorders the two agree bit for bit.
+        let mut sim = Simulation::evrard(500, 4).with_reorder_interval(0);
+        for _ in 0..3 {
+            let before = sim.total_energy();
+            assert_eq!(sim.step().total_energy.to_bits(), before.to_bits());
+        }
+    }
+
+    #[test]
+    fn binned_mid_cycle_substeps_carry_the_cycle_start_energy() {
+        let mut sim = Simulation::evrard(500, 4).with_reorder_interval(0).with_timestep_bins(4);
+        let mut cycle_energy = f64::NAN;
+        let (mut starts, mut mids) = (0, 0);
+        for _ in 0..24 {
+            let at_start = sim.timestep_bins().unwrap().at_cycle_start();
+            let before = sim.total_energy();
+            let summary = sim.step();
+            if at_start {
+                assert_eq!(summary.total_energy.to_bits(), before.to_bits());
+                cycle_energy = summary.total_energy;
+                starts += 1;
+            } else {
+                assert_eq!(summary.total_energy.to_bits(), cycle_energy.to_bits());
+                mids += 1;
+            }
+        }
+        assert!(
+            starts >= 2 && mids >= 2,
+            "{starts} cycle starts, {mids} mid-cycle substeps"
+        );
     }
 
     #[test]

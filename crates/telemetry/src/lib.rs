@@ -245,10 +245,13 @@ impl Telemetry {
 
     /// Append an event to the buffer, assigning its global sequence number.
     /// The sequence atomic is shared by every rank holding this sink, which
-    /// is what makes merged per-rank streams totally ordered.
+    /// is what makes merged per-rank streams totally ordered. It is taken
+    /// under the buffer lock: taken before it, two ranks could push their
+    /// events in the opposite order to their sequence numbers.
     fn record(&self, mut event: Event) {
+        let mut state = self.state.lock().unwrap();
         event.seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        self.state.lock().unwrap().events.push(event);
+        state.events.push(event);
     }
 
     /// A copy of every event recorded so far, in record order (which is also

@@ -265,14 +265,16 @@ fn four_rank_socket_transport_matches_shm_on_every_scenario() {
 fn four_rank_binned_run_matches_single_rank_per_particle() {
     // The individual-timestep gate: with power-of-two dt bins enabled, a
     // 4-rank run must agree with the single-rank binned propagator per
-    // particle to 1e-10 over a full cycle and change — on an open blast and
-    // on the periodic KH box, whose ghost layers and rung exchanges cross
-    // the wrap seam. The cycle plan is collective (allreduce'd Courant
-    // minimum, limiter fixpoint, max-reduced deepest rung), so the substep
-    // dt sequence must also agree step by step.
+    // particle to 1e-10 over a full cycle and change — on an open blast, on
+    // the periodic KH box, whose ghost layers and rung exchanges cross the
+    // wrap seam, and on the self-gravitating Evrard sphere, whose summary
+    // energy comes from the global gravity walk of the cycle-start substeps.
+    // The cycle plan is collective (allreduce'd Courant minimum, limiter
+    // fixpoint, max-reduced deepest rung), so the substep dt sequence must
+    // also agree step by step.
     const STEPS: u64 = 12;
     const BINS: usize = 4;
-    for name in ["Sedov", "KH"] {
+    for name in ["Sedov", "KH", "Evr"] {
         let sc = scenario::get(name).unwrap();
         let mut reference = Simulation::from_scenario(sc.clone(), 400, 7)
             .with_reorder_interval(0)

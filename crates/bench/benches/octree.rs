@@ -1,9 +1,12 @@
-//! Micro-benchmark: octree construction and neighbour search (the
-//! DomainDecompAndSync / FindNeighbors substrate).
+//! Micro-benchmark: octree construction, neighbour search (the
+//! DomainDecompAndSync / FindNeighbors substrate) and the Barnes–Hut gravity
+//! walk — one point, and every particle of the cloud in leaf-order groups,
+//! the shape the Gravity stage runs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use sphsim::physics::gravity::Sources;
 use sphsim::Octree;
 
 fn cloud(n: usize) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>) {
@@ -31,7 +34,17 @@ fn bench(c: &mut Criterion) {
         })
     });
     group.bench_function("gravity_walk_20k", |b| {
-        b.iter(|| tree.gravity_at((0.5, 0.5, 0.5), 0.5, 0.01, &x, &y, &z, &m, usize::MAX))
+        b.iter(|| tree.gravity_at((0.5, 0.5, 0.5), 0.5, 0.01, usize::MAX))
+    });
+    let sources = Sources {
+        x: &x,
+        y: &y,
+        z: &z,
+        m: &m,
+        offset: 0,
+    };
+    group.bench_function("gravity_all_20k", |b| {
+        b.iter(|| sources.walk(&tree, 0.5, 0.01, x.len(), |k| k).1)
     });
     group.finish();
 }

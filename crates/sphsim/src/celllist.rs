@@ -610,14 +610,24 @@ unsafe fn gather_cell_rows_avx2<const PERIODIC: bool, const UNIFORM: bool>(
     gather_cell_rows::<PERIODIC, UNIFORM>(grid, mi, x, y, z, h, first, rows_block, counts, diag, row, avx512);
 }
 
-/// `SPHSIM_FORCE_PORTABLE_SWEEP` pins the sweep to the portable scalar path
-/// regardless of CPU features — the lever the cross-implementation
-/// equivalence test uses to cover the portable path on wide-SIMD hosts. Read
-/// once and cached so the warm path stays allocation-free.
-#[cfg(target_arch = "x86_64")]
-fn force_portable_sweep() -> bool {
-    static FORCE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FORCE.get_or_init(|| std::env::var_os("SPHSIM_FORCE_PORTABLE_SWEEP").is_some())
+/// The `(avx2, avx512)` SIMD tiers the running CPU offers the sweep (the
+/// grouped gravity walk uses the AVX2 one); both off on other architectures.
+/// `SPHSIM_FORCE_PORTABLE_SWEEP` turns both off regardless of CPU features —
+/// the lever the cross-implementation equivalence tests use to cover the
+/// portable paths on wide-SIMD hosts. It is read once and cached so the warm
+/// path stays allocation-free.
+pub(crate) fn simd_tiers() -> (bool, bool) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        static FORCE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+        if !*FORCE.get_or_init(|| std::env::var_os("SPHSIM_FORCE_PORTABLE_SWEEP").is_some()) {
+            return (
+                std::arch::is_x86_feature_detected!("avx2"),
+                std::arch::is_x86_feature_detected!("avx512f") && std::arch::is_x86_feature_detected!("avx512vl"),
+            );
+        }
+    }
+    (false, false)
 }
 
 /// Pick the widest sweep instantiation the running CPU supports. The choice
@@ -700,17 +710,7 @@ pub fn find_neighbors_cells_into(
         let diag_chunks = particles.neighbor_count.chunks_mut(chunk);
         let row_bufs = scratch.rows.iter_mut();
         let uniform = grid.uniform_h;
-        #[cfg(target_arch = "x86_64")]
-        let simd = if force_portable_sweep() {
-            (false, false)
-        } else {
-            (
-                std::arch::is_x86_feature_detected!("avx2"),
-                std::arch::is_x86_feature_detected!("avx512f") && std::arch::is_x86_feature_detected!("avx512vl"),
-            )
-        };
-        #[cfg(not(target_arch = "x86_64"))]
-        let simd = (false, false);
+        let simd = simd_tiers();
         let dispatch = |t: usize, counts: &mut [u32], diag: &mut [u32], row: &mut Vec<u32>, mi: &MinImage| match (
             periodic, uniform,
         ) {
@@ -799,17 +799,7 @@ pub fn find_neighbors_cells_rows_into(
         let row_chunks = rows.chunks(chunk);
         let row_bufs = scratch.rows.iter_mut();
         let uniform = grid.uniform_h;
-        #[cfg(target_arch = "x86_64")]
-        let simd = if force_portable_sweep() {
-            (false, false)
-        } else {
-            (
-                std::arch::is_x86_feature_detected!("avx2"),
-                std::arch::is_x86_feature_detected!("avx512f") && std::arch::is_x86_feature_detected!("avx512vl"),
-            )
-        };
-        #[cfg(not(target_arch = "x86_64"))]
-        let simd = (false, false);
+        let simd = simd_tiers();
         let dispatch =
             |rows_block: &[u32], counts: &mut [u32], diag: &mut [u32], row: &mut Vec<u32>, mi: &MinImage| match (
                 periodic, uniform,

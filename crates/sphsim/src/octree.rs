@@ -11,6 +11,13 @@
 //! that rebuilds the tree every step performs no heap allocation once the
 //! arena has warmed up to its steady-state size.
 //!
+//! Barnes–Hut gravity reads a packed view the rebuild fills alongside the
+//! arena: one record per node with everything the walk needs, and the
+//! particles' `(x, y, z, m)` copied into leaf order so a leaf's sources are
+//! contiguous. [`Octree::gravity_lanes`] walks it for up to 32 targets at
+//! once, one SIMD lane per target, and adds each lane exactly the terms of
+//! that target's own walk in the same order.
+//!
 //! Periodic boxes are searched through
 //! [`Octree::for_each_within_periodic`]: the tree itself always covers the
 //! wrapped (in-box) positions, and a query whose sphere crosses a box face
@@ -137,75 +144,127 @@ impl OctreeNode {
     }
 }
 
+/// Number of targets the `Gravity` stage walks at once, one SIMD lane each
+/// ([`Octree::gravity_lanes`]).
+pub const GRAVITY_LANES: usize = 16;
+
+/// One node of the packed gravity view: everything the Barnes–Hut walk reads
+/// of a node, in one record.
+#[derive(Clone, Copy, Debug)]
+struct GravityNode {
+    com: (f64, f64, f64),
+    mass: f64,
+    longest_edge: f64,
+    start: u32,
+    end: u32,
+    /// The first of the node's eight (contiguous) children, or 0 for a leaf —
+    /// the root is nobody's child.
+    first_child: u32,
+}
+
+/// The targets of a grouped gravity walk ([`Octree::gravity_lanes`]), one
+/// lane each: the position, and the source id the lane leaves out of its own
+/// sum (`u32::MAX` leaves out nothing). Lanes from `len` on are idle.
+#[derive(Clone, Copy, Debug)]
+pub struct GravityTargets<const L: usize> {
+    /// Target x coordinates.
+    pub x: [f64; L],
+    /// Target y coordinates.
+    pub y: [f64; L],
+    /// Target z coordinates.
+    pub z: [f64; L],
+    /// Source id excluded from each lane's sum.
+    pub skip: [u32; L],
+    /// Number of lanes in use.
+    pub len: usize,
+}
+
+/// Per-lane result of a grouped gravity walk: acceleration and potential `φ`.
+#[derive(Clone, Copy, Debug)]
+pub struct GravityField<const L: usize> {
+    /// Acceleration, x component.
+    pub ax: [f64; L],
+    /// Acceleration, y component.
+    pub ay: [f64; L],
+    /// Acceleration, z component.
+    pub az: [f64; L],
+    /// Potential `φ`.
+    pub phi: [f64; L],
+}
+
+impl<const L: usize> GravityField<L> {
+    /// Add the term `f · (dx, dy, dz)` (and `-f · d²` to `φ`) on lane `l`
+    /// when `on`. A select, not a branch, so the lane loop vectorises — and
+    /// an off lane keeps its bits even when its term is not finite.
+    #[allow(clippy::too_many_arguments)] // one scalar per lane quantity
+    #[inline(always)]
+    fn add(&mut self, l: usize, on: bool, f: f64, dx: f64, dy: f64, dz: f64, d2: f64) {
+        self.ax[l] = if on { self.ax[l] + f * dx } else { self.ax[l] };
+        self.ay[l] = if on { self.ay[l] + f * dy } else { self.ay[l] };
+        self.az[l] = if on { self.az[l] + f * dz } else { self.az[l] };
+        // m / d, as a multiply on the force factor.
+        self.phi[l] = if on { self.phi[l] - f * d2 } else { self.phi[l] };
+    }
+}
+
 /// Octree over a set of particle positions.
 pub struct Octree {
     nodes: Vec<OctreeNode>,
-    indices: Vec<usize>,
+    /// Particle ids in leaf order: node `start..end` ranges index into it.
+    indices: Vec<u32>,
     max_leaf_size: usize,
     /// Reusable scratch for the in-place octant partition of one node segment.
-    partition_scratch: Vec<usize>,
+    partition_scratch: Vec<u32>,
     /// Reusable work stack of `(node index, depth)` pairs of the iterative build.
     build_stack: Vec<(usize, usize)>,
+    /// Packed gravity view of `nodes`, index for index.
+    gravity_nodes: Vec<GravityNode>,
+    /// `(x, y, z, m)` of the particle at each position of `indices`.
+    leaf_sources: Vec<[f64; 4]>,
 }
 
 impl Octree {
     /// An empty tree (unit root box, no particles) — an arena waiting for its
     /// first [`Octree::rebuild`].
     pub fn empty() -> Self {
-        let bounds = Aabb::new((0.0, 0.0, 0.0), (1.0, 1.0, 1.0));
-        Self {
-            nodes: vec![OctreeNode {
-                bounds,
-                start: 0,
-                end: 0,
-                children: None,
-                mass: 0.0,
-                com: bounds.center(),
-            }],
-            indices: Vec::new(),
-            max_leaf_size: 1,
-            partition_scratch: Vec::new(),
-            build_stack: Vec::new(),
-        }
+        Self::build(&[], &[], &[], &[], 1)
     }
 
     /// Build an octree over the given positions with at most `max_leaf_size`
     /// particles per leaf.
     pub fn build(x: &[f64], y: &[f64], z: &[f64], m: &[f64], max_leaf_size: usize) -> Self {
-        let mut tree = Self::empty();
+        let mut tree = Self {
+            nodes: Vec::new(),
+            indices: Vec::new(),
+            max_leaf_size,
+            partition_scratch: Vec::new(),
+            build_stack: Vec::new(),
+            gravity_nodes: Vec::new(),
+            leaf_sources: Vec::new(),
+        };
         tree.rebuild(x, y, z, m, max_leaf_size);
         tree
     }
 
     /// Rebuild the tree over new positions, reusing the node arena, the index
-    /// permutation and the build scratch (no allocation once their capacity
-    /// has reached the steady-state size).
+    /// permutation, the gravity view and the build scratch (no allocation
+    /// once their capacity has reached the steady-state size).
     pub fn rebuild(&mut self, x: &[f64], y: &[f64], z: &[f64], m: &[f64], max_leaf_size: usize) {
         assert!(max_leaf_size >= 1);
         assert_eq!(x.len(), y.len());
         assert_eq!(x.len(), z.len());
         assert_eq!(x.len(), m.len());
+        // Particle ids are u32, and `u32::MAX` is the gravity walk's "no one".
+        assert!(x.len() < u32::MAX as usize, "octree exceeds u32 particle ids");
         self.max_leaf_size = max_leaf_size;
         let bounds = Aabb::of_points(x, y, z);
         self.nodes.clear();
         self.indices.clear();
-        self.indices.extend(0..x.len());
-        if x.is_empty() {
-            self.nodes.push(OctreeNode {
-                bounds,
-                start: 0,
-                end: 0,
-                children: None,
-                mass: 0.0,
-                com: bounds.center(),
-            });
-            return;
-        }
-        let n = x.len();
+        self.indices.extend(0..x.len() as u32);
         self.nodes.push(OctreeNode {
             bounds,
             start: 0,
-            end: n,
+            end: x.len(),
             children: None,
             mass: 0.0,
             com: (0.0, 0.0, 0.0),
@@ -221,11 +280,31 @@ impl Octree {
             "octree arena exceeds u32 node indices"
         );
         self.compute_moments(x, y, z, m);
+        self.gravity_nodes.clear();
+        self.gravity_nodes.extend(self.nodes.iter().map(|node| GravityNode {
+            com: node.com,
+            mass: node.mass,
+            longest_edge: node.bounds.longest_edge(),
+            start: node.start as u32,
+            end: node.end as u32,
+            first_child: node.children.map_or(0, |c| c[0] as u32),
+        }));
+        self.leaf_sources.clear();
+        self.leaf_sources.extend(self.indices.iter().map(|&p| {
+            let p = p as usize;
+            [x[p], y[p], z[p], m[p]]
+        }));
     }
 
     /// All nodes (root is node 0).
     pub fn nodes(&self) -> &[OctreeNode] {
         &self.nodes
+    }
+
+    /// Particle ids in leaf order: each node covers the ids at positions
+    /// `start..end`, and a leaf's particles are walked in this order.
+    pub fn leaf_order(&self) -> &[u32] {
+        &self.indices
     }
 
     /// Number of particles indexed by the tree.
@@ -271,7 +350,8 @@ impl Octree {
             return;
         }
         let center = bounds.center();
-        let octant_of = |p: usize| {
+        let octant_of = |p: u32| {
+            let p = p as usize;
             let mut oct = 0usize;
             if x[p] > center.0 {
                 oct |= 1;
@@ -309,6 +389,8 @@ impl Octree {
             self.indices[write[oct]] = p;
             write[oct] += 1;
         }
+        // The eight children are pushed contiguously: the gravity view keeps
+        // only the first.
         let mut children = [0usize; 8];
         for (oct, &cs) in child_start.iter().enumerate() {
             self.nodes.push(OctreeNode {
@@ -338,6 +420,7 @@ impl Octree {
                     let mut cy = 0.0;
                     let mut cz = 0.0;
                     for &p in &self.indices[self.nodes[i].start..self.nodes[i].end] {
+                        let p = p as usize;
                         mass += m[p];
                         cx += m[p] * x[p];
                         cy += m[p] * y[p];
@@ -406,11 +489,12 @@ impl Octree {
                 }
                 None => {
                     for &p in &self.indices[node.start..node.end] {
-                        let dx = x[p] - center.0;
-                        let dy = y[p] - center.1;
-                        let dz = z[p] - center.2;
+                        let i = p as usize;
+                        let dx = x[i] - center.0;
+                        let dy = y[i] - center.1;
+                        let dz = z[i] - center.2;
                         if dx * dx + dy * dy + dz * dz <= r2 {
-                            visit(p as u32);
+                            visit(p);
                         }
                     }
                 }
@@ -511,8 +595,9 @@ impl Octree {
                 }
                 None => {
                     for &p in &self.indices[node.start..node.end] {
-                        if mi.dist_sq(x[p] - center.0, y[p] - center.1, z[p] - center.2) <= r2 {
-                            visit(p as u32);
+                        let i = p as usize;
+                        if mi.dist_sq(x[i] - center.0, y[i] - center.1, z[i] - center.2) <= r2 {
+                            visit(p);
                         }
                     }
                 }
@@ -537,74 +622,92 @@ impl Octree {
 
     /// Barnes–Hut gravitational acceleration and potential `φ` at `pos` with
     /// opening angle `theta` and softening `eps`, excluding the particle
-    /// `self_idx` (pass `usize::MAX` to include everything).
+    /// `self_idx` (pass `usize::MAX` to include everything) — the one-lane
+    /// [`Octree::gravity_lanes`].
+    pub fn gravity_at(&self, pos: (f64, f64, f64), theta: f64, eps: f64, self_idx: usize) -> ((f64, f64, f64), f64) {
+        let target = GravityTargets {
+            x: [pos.0],
+            y: [pos.1],
+            z: [pos.2],
+            skip: [u32::try_from(self_idx).unwrap_or(u32::MAX)],
+            len: 1,
+        };
+        let g = self.gravity_lanes(&target, theta, eps);
+        ((g.ax[0], g.ay[0], g.az[0]), g.phi[0])
+    }
+
+    /// Barnes–Hut gravity for `L ≤ 32` targets at once, one lane per target,
+    /// with opening angle `theta` and softening `eps`.
     ///
-    /// `φ = -Σ m / sqrt(d² + eps²)` over the same leaf particles and accepted
-    /// monopoles the acceleration sums, so a particle's potential energy
-    /// comes with its force at no extra traversal.
-    #[allow(clippy::too_many_arguments)] // mirrors the flat SoA particle layout
-    pub fn gravity_at(
-        &self,
-        pos: (f64, f64, f64),
-        theta: f64,
-        eps: f64,
-        x: &[f64],
-        y: &[f64],
-        z: &[f64],
-        m: &[f64],
-        self_idx: usize,
-    ) -> ((f64, f64, f64), f64) {
-        let mut acc = (0.0, 0.0, 0.0);
-        let mut phi = 0.0;
-        let mut stack = [0u32; Self::TRAVERSAL_STACK];
-        let mut top = 1usize;
+    /// One depth-first walk carries a lane mask on every stack entry: at an
+    /// internal node the lanes that accept it add its monopole and the lanes
+    /// that open it push the children under their own mask; at a leaf every
+    /// live lane adds each particle but its `skip` id, in leaf order. Each lane
+    /// therefore sums exactly the terms of its own single-target walk in the
+    /// same order, so results are bit-identical whatever the lane count.
+    /// `φ = -Σ m / sqrt(d² + eps²)` over the same terms the acceleration sums.
+    ///
+    /// Always inlined: a caller compiled with wider SIMD target features gets
+    /// the lane loops at that width.
+    #[inline(always)]
+    pub fn gravity_lanes<const L: usize>(&self, targets: &GravityTargets<L>, theta: f64, eps: f64) -> GravityField<L> {
+        const { assert!(L <= 32, "lane masks are u32") };
+        assert!(targets.len <= L, "more live lanes than lanes");
+        let t = targets;
+        let eps2 = eps * eps;
+        let mut out = GravityField {
+            ax: [0.0; L],
+            ay: [0.0; L],
+            az: [0.0; L],
+            phi: [0.0; L],
+        };
+        let mut stack = [(0u32, 0u32); Self::TRAVERSAL_STACK];
+        stack[0] = (0, ((1u64 << t.len) - 1) as u32);
+        let mut top = usize::from(t.len > 0);
         while top > 0 {
             top -= 1;
-            let node = &self.nodes[stack[top] as usize];
-            if node.count() == 0 || node.mass <= 0.0 {
+            let (index, lanes) = stack[top];
+            let node = self.gravity_nodes[index as usize];
+            if node.start == node.end || node.mass <= 0.0 {
                 continue;
             }
-            let dx = node.com.0 - pos.0;
-            let dy = node.com.1 - pos.1;
-            let dz = node.com.2 - pos.2;
-            let dist2 = dx * dx + dy * dy + dz * dz + eps * eps;
-            let dist = dist2.sqrt();
-            let size = node.bounds.longest_edge();
-            if node.is_leaf() || (size / dist) < theta {
-                if node.is_leaf() {
-                    for &p in &self.indices[node.start..node.end] {
-                        if p == self_idx {
-                            continue;
-                        }
-                        let dx = x[p] - pos.0;
-                        let dy = y[p] - pos.1;
-                        let dz = z[p] - pos.2;
-                        let d2 = dx * dx + dy * dy + dz * dz + eps * eps;
+            let live: [bool; L] = std::array::from_fn(|l| lanes >> l & 1 != 0);
+            if node.first_child == 0 {
+                let (s, e) = (node.start as usize, node.end as usize);
+                for (&[sx, sy, sz, sm], &id) in self.leaf_sources[s..e].iter().zip(&self.indices[s..e]) {
+                    for (l, &on) in live.iter().enumerate() {
+                        let dx = sx - t.x[l];
+                        let dy = sy - t.y[l];
+                        let dz = sz - t.z[l];
+                        let d2 = dx * dx + dy * dy + dz * dz + eps2;
                         let d = d2.sqrt();
-                        let f = m[p] / (d2 * d);
-                        acc.0 += f * dx;
-                        acc.1 += f * dy;
-                        acc.2 += f * dz;
-                        // m / d, as a multiply on the force factor.
-                        phi -= f * d2;
+                        let f = sm / (d2 * d);
+                        out.add(l, on & (t.skip[l] != id), f, dx, dy, dz, d2);
                     }
-                } else {
-                    // Accept the monopole of this internal node.
-                    let f = node.mass / (dist2 * dist);
-                    acc.0 += f * dx;
-                    acc.1 += f * dy;
-                    acc.2 += f * dz;
-                    phi -= f * dist2;
                 }
-            } else if let Some(children) = node.children {
-                debug_assert!(top + 8 <= Self::TRAVERSAL_STACK);
-                for &c in &children {
-                    stack[top] = c as u32;
-                    top += 1;
+            } else {
+                let mut open = 0u32;
+                for (l, &on) in live.iter().enumerate() {
+                    let dx = node.com.0 - t.x[l];
+                    let dy = node.com.1 - t.y[l];
+                    let dz = node.com.2 - t.z[l];
+                    let dist2 = dx * dx + dy * dy + dz * dz + eps2;
+                    let dist = dist2.sqrt();
+                    let accept = (node.longest_edge / dist) < theta;
+                    let f = node.mass / (dist2 * dist);
+                    out.add(l, on & accept, f, dx, dy, dz, dist2);
+                    open |= u32::from(on & !accept) << l;
+                }
+                if open != 0 {
+                    debug_assert!(top + 8 <= Self::TRAVERSAL_STACK);
+                    for child in node.first_child..node.first_child + 8 {
+                        stack[top] = (child, open);
+                        top += 1;
+                    }
                 }
             }
         }
-        (acc, phi)
+        out
     }
 }
 
@@ -654,6 +757,7 @@ mod tests {
         let mut seen = vec![false; 500];
         for node in tree.nodes().iter().filter(|n| n.is_leaf()) {
             for &p in &tree.indices[node.start..node.end] {
+                let p = p as usize;
                 assert!(!seen[p], "particle {p} appears in two leaves");
                 seen[p] = true;
             }
@@ -677,7 +781,7 @@ mod tests {
         let (x, y, z, m) = random_cloud(300, 3);
         let tree = Octree::build(&x, &y, &z, &m, 8);
         for node in tree.nodes().iter().filter(|n| n.is_leaf()) {
-            for &p in &tree.indices[node.start..node.end] {
+            for p in tree.indices[node.start..node.end].iter().map(|&p| p as usize) {
                 // Allow boundary tolerance: points exactly on a split plane may
                 // land in the lower octant.
                 let eps = 1e-9;
@@ -725,7 +829,7 @@ mod tests {
         let tree = Octree::build(&x, &y, &z, &m, 8);
         let eps = 0.01;
         let pos = (0.5, 0.5, 0.5);
-        let (tree_acc, _) = tree.gravity_at(pos, 0.0, eps, &x, &y, &z, &m, usize::MAX);
+        let (tree_acc, _) = tree.gravity_at(pos, 0.0, eps, usize::MAX);
         let mut direct = (0.0, 0.0, 0.0);
         for j in 0..200 {
             let dx = x[j] - pos.0;
@@ -750,8 +854,8 @@ mod tests {
         let tree = Octree::build(&x, &y, &z, &m, 16);
         let eps = 0.02;
         let pos = (0.1, 0.9, 0.2);
-        let (approx, _) = tree.gravity_at(pos, 0.5, eps, &x, &y, &z, &m, usize::MAX);
-        let (exact, _) = tree.gravity_at(pos, 0.0, eps, &x, &y, &z, &m, usize::MAX);
+        let (approx, _) = tree.gravity_at(pos, 0.5, eps, usize::MAX);
+        let (exact, _) = tree.gravity_at(pos, 0.0, eps, usize::MAX);
         let mag = (exact.0 * exact.0 + exact.1 * exact.1 + exact.2 * exact.2).sqrt();
         let err = ((approx.0 - exact.0).powi(2) + (approx.1 - exact.1).powi(2) + (approx.2 - exact.2).powi(2)).sqrt();
         assert!(err / mag < 0.05, "relative BH error {}", err / mag);

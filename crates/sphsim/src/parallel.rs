@@ -49,9 +49,23 @@ fn resolve_worker_threads(env_override: Option<&str>, available: usize) -> usize
     available.clamp(1, MAX_DEFAULT_THREADS)
 }
 
+/// Fewest items [`parallel_map`] and [`parallel_chunks_mut`] split across
+/// threads; below it, spawning costs more than the loop.
+pub const MIN_PARALLEL_ITEMS: usize = 256;
+
 /// Compute `f(i)` for every `i in 0..n` in parallel and collect the results in
 /// index order.
 pub fn parallel_map<T, F>(n: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    parallel_map_from(n, MIN_PARALLEL_ITEMS, f)
+}
+
+/// [`parallel_map`] that goes parallel from `min_items` items up — for items
+/// that each bundle several rows, so the threshold can stay counted in rows.
+pub fn parallel_map_from<T, F>(n: usize, min_items: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -60,7 +74,7 @@ where
     if n == 0 {
         return Vec::new();
     }
-    if threads <= 1 || n < 256 {
+    if threads <= 1 || n < min_items {
         return (0..n).map(f).collect();
     }
     let chunk = n.div_ceil(threads);
@@ -93,7 +107,7 @@ where
         return;
     }
     let threads = worker_threads().min(n);
-    if threads <= 1 || n < 256 {
+    if threads <= 1 || n < MIN_PARALLEL_ITEMS {
         f(0, data);
         return;
     }
@@ -121,6 +135,16 @@ mod tests {
     fn map_handles_small_and_empty_inputs() {
         assert_eq!(parallel_map(0, |i| i), Vec::<usize>::new());
         assert_eq!(parallel_map(3, |i| i + 1), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn map_from_preserves_order_on_either_side_of_the_threshold() {
+        for n in [15, 16, 17, 300] {
+            assert_eq!(
+                parallel_map_from(n, 16, |i| i * 3),
+                (0..n).map(|i| i * 3).collect::<Vec<_>>()
+            );
+        }
     }
 
     #[test]

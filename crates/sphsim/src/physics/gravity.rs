@@ -6,8 +6,8 @@
 //! function returns the potential energy `E_pot = ½ Σ mᵢ φᵢ` of the rows it
 //! walked at no extra cost.
 
-use crate::octree::Octree;
-use crate::parallel::parallel_map;
+use crate::octree::{GravityField, GravityTargets, Octree, GRAVITY_LANES};
+use crate::parallel::{parallel_map_from, MIN_PARALLEL_ITEMS};
 use crate::particle::ParticleSet;
 use crate::physics::neighbors::build_tree;
 use crate::propagator::MAX_LEAF_SIZE;
@@ -19,17 +19,22 @@ pub const DEFAULT_THETA: f64 = 0.5;
 /// index in them of the walker's slot 0. Single-rank that is the particle set
 /// itself; a shard walks the allgathered global arrays, where its owned slot
 /// `i` sits at `offset + i`.
-pub(crate) struct Sources<'a> {
-    pub(crate) x: &'a [f64],
-    pub(crate) y: &'a [f64],
-    pub(crate) z: &'a [f64],
-    pub(crate) m: &'a [f64],
-    pub(crate) offset: usize,
+pub struct Sources<'a> {
+    /// Source x coordinates.
+    pub x: &'a [f64],
+    /// Source y coordinates.
+    pub y: &'a [f64],
+    /// Source z coordinates.
+    pub z: &'a [f64],
+    /// Source masses.
+    pub m: &'a [f64],
+    /// Index of the walker's slot 0 in the arrays.
+    pub offset: usize,
 }
 
 impl<'a> Sources<'a> {
     /// The particle set's own arrays.
-    pub(crate) fn of(p: &'a ParticleSet) -> Self {
+    pub fn of(p: &'a ParticleSet) -> Self {
         Self {
             x: &p.x,
             y: &p.y,
@@ -40,10 +45,17 @@ impl<'a> Sources<'a> {
     }
 
     /// Walk `tree` from `count` slots — walk `k` starts at slot `slot(k)`,
-    /// which is left out of its own sum — on the worker pool. Returns the
-    /// accelerations in walk order and `½ Σ mᵢ φᵢ` summed in the same order,
-    /// so the energy does not depend on the thread count.
-    pub(crate) fn walk(
+    /// which is left out of its own sum. The walks run [`GRAVITY_LANES`] at a
+    /// time ([`gravity_group`]) in the tree's leaf order, so the
+    /// targets of one group are neighbours and share most of their walk, and
+    /// the groups run on [`parallel_map_from`] (scoped threads spawned per
+    /// call) from [`MIN_PARALLEL_ITEMS`] rows up, as a per-row loop would.
+    /// Returns the accelerations in walk order and `½ Σ mᵢ φᵢ` summed in walk
+    /// order, so neither depends on the grouping or the thread count.
+    ///
+    /// `tree` must have been built over these arrays: the targets come from
+    /// them, the sources from the tree's own leaf-order copy.
+    pub fn walk(
         &self,
         tree: &Octree,
         theta: f64,
@@ -51,22 +63,92 @@ impl<'a> Sources<'a> {
         count: usize,
         slot: impl Fn(usize) -> usize + Sync,
     ) -> (Vec<(f64, f64, f64)>, f64) {
-        let walked = parallel_map(count, |k| {
-            let j = self.offset + slot(k);
-            let pos = (self.x[j], self.y[j], self.z[j]);
-            tree.gravity_at(pos, theta, softening, self.x, self.y, self.z, self.m, j)
-        });
-        let mut twice_e_pot = 0.0;
-        let acc = walked
-            .into_iter()
-            .enumerate()
-            .map(|(k, (acc, phi))| {
-                twice_e_pot += self.m[self.offset + slot(k)] * phi;
-                acc
-            })
+        debug_assert_eq!(tree.particle_count(), self.x.len(), "tree built over other sources");
+        // The walks in leaf order: mark each walked source with its walk index,
+        // then read the marks off in the order the tree lays its leaves out.
+        let mut walk_of = vec![u32::MAX; self.x.len()];
+        for k in 0..count {
+            walk_of[self.offset + slot(k)] = k as u32;
+        }
+        let order: Vec<u32> = tree
+            .leaf_order()
+            .iter()
+            .map(|&j| walk_of[j as usize])
+            .filter(|&k| k != u32::MAX)
             .collect();
+        debug_assert_eq!(order.len(), count, "walk slots must be distinct");
+        // A group is GRAVITY_LANES rows of work: go parallel at as many rows
+        // as a per-row loop would.
+        let groups = count.div_ceil(GRAVITY_LANES);
+        let fields = parallel_map_from(groups, MIN_PARALLEL_ITEMS.div_ceil(GRAVITY_LANES), |b| {
+            let group = &order[b * GRAVITY_LANES..count.min((b + 1) * GRAVITY_LANES)];
+            let mut targets = GravityTargets {
+                x: [0.0; GRAVITY_LANES],
+                y: [0.0; GRAVITY_LANES],
+                z: [0.0; GRAVITY_LANES],
+                skip: [u32::MAX; GRAVITY_LANES],
+                len: group.len(),
+            };
+            for (l, &k) in group.iter().enumerate() {
+                let j = self.offset + slot(k as usize);
+                targets.x[l] = self.x[j];
+                targets.y[l] = self.y[j];
+                targets.z[l] = self.z[j];
+                targets.skip[l] = j as u32;
+            }
+            gravity_group(tree, &targets, theta, softening)
+        });
+        let mut acc = vec![(0.0, 0.0, 0.0); count];
+        let mut phi = vec![0.0; count];
+        for (group, g) in order.chunks(GRAVITY_LANES).zip(&fields) {
+            for (l, &k) in group.iter().enumerate() {
+                acc[k as usize] = (g.ax[l], g.ay[l], g.az[l]);
+                phi[k as usize] = g.phi[l];
+            }
+        }
+        let mut twice_e_pot = 0.0;
+        for (k, phi) in phi.into_iter().enumerate() {
+            twice_e_pot += self.m[self.offset + slot(k)] * phi;
+        }
         (acc, 0.5 * twice_e_pot)
     }
+}
+
+/// [`Octree::gravity_lanes`] for one group of targets, through the AVX2
+/// instantiation when the CPU has AVX2, else the portable build
+/// (`SPHSIM_FORCE_PORTABLE_SWEEP` pins the latter). The choice changes only
+/// how many lanes retire per instruction, never a result: both tiers run the
+/// same per-lane IEEE arithmetic, with no contraction into fused
+/// multiply-adds.
+pub fn gravity_group(
+    tree: &Octree,
+    targets: &GravityTargets<GRAVITY_LANES>,
+    theta: f64,
+    eps: f64,
+) -> GravityField<GRAVITY_LANES> {
+    #[cfg(target_arch = "x86_64")]
+    if crate::celllist::simd_tiers().0 {
+        // SAFETY: the AVX2 tier is only on when runtime detection reported
+        // AVX2 on this CPU.
+        return unsafe { walk_group_avx2(tree, targets, theta, eps) };
+    }
+    tree.gravity_lanes(targets, theta, eps)
+}
+
+/// AVX2 instantiation of [`Octree::gravity_lanes`]: the always-inlined
+/// generic body compiled at this width (sixteen lanes in four registers).
+///
+/// # Safety
+/// The caller must have verified at runtime that the CPU supports AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn walk_group_avx2(
+    tree: &Octree,
+    targets: &GravityTargets<GRAVITY_LANES>,
+    theta: f64,
+    eps: f64,
+) -> GravityField<GRAVITY_LANES> {
+    tree.gravity_lanes(targets, theta, eps)
 }
 
 /// Add walked accelerations (walk order, walk `k` at slot `slot(k)`) onto
@@ -82,6 +164,11 @@ pub(crate) fn kick(particles: &mut ParticleSet, acc: &[(f64, f64, f64)], slot: i
 
 /// Add the gravitational acceleration of every particle onto `ax/ay/az` and
 /// return the potential energy `½ Σ mᵢ φᵢ` of the set.
+///
+/// `tree` must have been built over the current positions and masses of
+/// `particles`: the leaf terms read the copy the tree took when it was built,
+/// so a tree over other positions gives other forces. The propagator rebuilds
+/// it every substep before this stage.
 pub fn add_gravity(particles: &mut ParticleSet, tree: &Octree, theta: f64, softening: f64) -> f64 {
     let n = particles.len();
     let (acc, e_pot) = Sources::of(particles).walk(tree, theta, softening, n, |k| k);
@@ -93,7 +180,8 @@ pub fn add_gravity(particles: &mut ParticleSet, tree: &Octree, theta: f64, softe
 /// active-set form the individual-timestep propagator uses (frozen particles
 /// keep their accelerations from their own last kick substep). Returns
 /// `½ Σ mᵢ φᵢ` over `rows` only, which is the set's potential energy when
-/// every row is active.
+/// every row is active. `tree` must have been built over the current
+/// positions and masses of `particles`, as for [`add_gravity`].
 pub fn add_gravity_rows(particles: &mut ParticleSet, tree: &Octree, theta: f64, softening: f64, rows: &[u32]) -> f64 {
     let slot = |k: usize| rows[k] as usize;
     let (acc, e_pot) = Sources::of(particles).walk(tree, theta, softening, rows.len(), slot);

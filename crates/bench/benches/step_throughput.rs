@@ -1,18 +1,16 @@
-//! Before/after step-throughput benchmark of the flattened SPH hot path.
+//! Step-throughput benchmark of the flattened SPH hot path.
 //!
 //! Times the neighbour-pipeline stages of the CPU propagator on the Evrard
 //! case — a scaled-down stand-in for the paper's Table-1 sizing (80 M
-//! particles/GPU is not steppable on a laptop) — under both data paths:
-//!
-//! * **before**: construction-order particle storage, per-step freshly
-//!   allocated octree, `Vec<Vec<usize>>` neighbour lists (see `bench::legacy`);
-//! * **after**: Morton-sorted storage, reusable octree arena and CSR neighbour
-//!   lists through a `StepWorkspace`.
+//! particles/GPU is not steppable on a laptop) — over the propagator's data
+//! path: Morton-sorted storage, reusable octree arena and CSR neighbour
+//! lists through a `StepWorkspace`.
 //!
 //! The state is held static (the same configuration is re-timed `steps`
-//! times and the minimum per stage is kept), so the two pipelines measure
+//! times and the minimum per stage is kept), so every repetition measures
 //! identical work. Results are written as `BENCH_step_throughput.json`
-//! (particles/sec per stage, before/after, speedup). Environment knobs:
+//! (particles/sec per stage as `after_pps`, the key the regression gate and
+//! the history files read). Environment knobs:
 //!
 //! * `SPHSIM_BENCH_N` — particle count (default 50000)
 //! * `SPHSIM_BENCH_STEPS` — timing repetitions (default 5)
@@ -35,14 +33,13 @@
 //!   a matching particle count ever mix: the gate skips history lines whose
 //!   `particles` differs from the current run.
 
-use bench::legacy;
 use sphsim::observables::neighbor_count_stats;
 use sphsim::physics::density::compute_density;
 use sphsim::physics::eos::apply_eos;
 use sphsim::physics::gradh::compute_gradh;
 use sphsim::physics::iad::compute_div_curl;
 use sphsim::physics::momentum::compute_momentum_energy;
-use sphsim::{Octree, ParticleSet, StepWorkspace};
+use sphsim::{ParticleSet, StepWorkspace};
 use std::time::Instant;
 
 const STAGES: [&str; 6] = [
@@ -69,28 +66,11 @@ fn keep_min(best: &mut [f64; 6], stage: usize, seconds: f64) {
     best[stage] = best[stage].min(seconds);
 }
 
-/// Time one repetition of the legacy ("before") pipeline.
-fn before_rep(p: &mut ParticleSet, tree: &mut Octree, nl: &mut legacy::VecNeighborLists, best: &mut [f64; 6]) {
-    // Re-assignments drop the previous step's tree/lists inside the timed
-    // window — that dealloc traffic is part of the steady-state stage cost.
-    keep_min(
-        best,
-        0,
-        time(|| *tree = Octree::build(&p.x, &p.y, &p.z, &p.m, MAX_LEAF_SIZE)),
-    );
-    keep_min(best, 1, time(|| *nl = legacy::find_neighbors(p, tree)));
-    keep_min(best, 2, time(|| legacy::compute_density(p, nl)));
-    keep_min(best, 3, time(|| legacy::compute_gradh(p, nl)));
-    keep_min(best, 4, time(|| legacy::compute_div_curl(p, nl)));
-    keep_min(best, 5, time(|| legacy::compute_momentum_energy(p, nl)));
-}
-
-/// Time one repetition of the flat ("after") pipeline. `DomainDecompAndSync`
-/// is timed as the propagator actually runs it on a steady-state (non-reorder)
-/// step: the reorder-interval decision is hoisted above any Morton-key work,
+/// Time one repetition of the pipeline. `DomainDecompAndSync` is timed as
+/// the propagator actually runs it on a steady-state (non-reorder) step: the reorder-interval decision is hoisted above any Morton-key work,
 /// so the stage pays only the boundary wrap (a no-op here — Evrard is an open
 /// box) and the tree rebuild, never per-step key generation.
-fn after_rep(p: &mut ParticleSet, origin: &mut Vec<u32>, ws: &mut StepWorkspace, best: &mut [f64; 6]) {
+fn time_rep(p: &mut ParticleSet, origin: &mut Vec<u32>, ws: &mut StepWorkspace, best: &mut [f64; 6]) {
     keep_min(best, 0, time(|| ws.domain_sync(p, origin, false, MAX_LEAF_SIZE)));
     keep_min(best, 1, time(|| ws.find_neighbors(p)));
     let lists = ws.neighbors();
@@ -104,68 +84,43 @@ fn main() {
     let n = env_usize("SPHSIM_BENCH_N", 50_000);
     let steps = env_usize("SPHSIM_BENCH_STEPS", 5).max(1);
     let scenario = sphsim::scenario::get("Evr").expect("built-in scenario");
-    let initial = scenario.initial_conditions(n, 42);
-    let n = initial.len();
-    eprintln!("step_throughput: Evrard, {n} particles, {steps} reps per pipeline");
+    let mut p = scenario.initial_conditions(n, 42);
+    let n = p.len();
+    eprintln!("step_throughput: Evrard, {n} particles, {steps} reps");
 
-    // --- Before: construction order + Vec<Vec<usize>> + fresh tree ---------
-    let mut pb = initial.clone();
-    let mut tree = Octree::build(&pb.x, &pb.y, &pb.z, &pb.m, MAX_LEAF_SIZE);
-    let mut nl = legacy::find_neighbors(&mut pb, &tree);
-    legacy::compute_density(&mut pb, &nl);
-    apply_eos(&mut pb);
-    legacy::compute_gradh(&mut pb, &nl);
-    let mut before = [f64::INFINITY; 6];
-    for _ in 0..steps {
-        before_rep(&mut pb, &mut tree, &mut nl, &mut before);
-    }
-
-    // --- After: Morton order + CSR + reusable workspace --------------------
-    let mut pa = initial.clone();
-    let mut origin: Vec<u32> = (0..pa.len() as u32).collect();
+    let mut origin: Vec<u32> = (0..n as u32).collect();
     let mut ws = StepWorkspace::new();
-    ws.reorder_by_morton(&mut pa, &mut origin);
-    ws.rebuild_tree(&pa, MAX_LEAF_SIZE);
-    ws.find_neighbors(&mut pa);
-    compute_density(&mut pa, ws.neighbors());
-    apply_eos(&mut pa);
-    compute_gradh(&mut pa, ws.neighbors());
+    ws.reorder_by_morton(&mut p, &mut origin);
+    ws.rebuild_tree(&p, MAX_LEAF_SIZE);
+    ws.find_neighbors(&mut p);
+    compute_density(&mut p, ws.neighbors());
+    apply_eos(&mut p);
+    compute_gradh(&mut p, ws.neighbors());
     let mut after = [f64::INFINITY; 6];
     for _ in 0..steps {
-        after_rep(&mut pa, &mut origin, &mut ws, &mut after);
+        time_rep(&mut p, &mut origin, &mut ws, &mut after);
     }
 
     let (nb_min, nb_mean, nb_max) = neighbor_count_stats(ws.neighbors());
     let pps = |seconds: f64| n as f64 / seconds;
 
     let mut stage_lines = Vec::new();
-    println!(
-        "{:<22} {:>14} {:>14} {:>8}",
-        "stage", "before [p/s]", "after [p/s]", "speedup"
-    );
+    println!("{:<22} {:>14}", "stage", "after [p/s]");
     for (s, name) in STAGES.iter().enumerate() {
-        let (b, a) = (pps(before[s]), pps(after[s]));
-        println!("{name:<22} {b:>14.0} {a:>14.0} {:>7.2}x", a / b);
-        stage_lines.push(format!(
-            "    {{\"stage\": \"{name}\", \"before_pps\": {b:.1}, \"after_pps\": {a:.1}, \"speedup\": {:.3}}}",
-            a / b
-        ));
+        let a = pps(after[s]);
+        println!("{name:<22} {a:>14.0}");
+        stage_lines.push(format!("    {{\"stage\": \"{name}\", \"after_pps\": {a:.1}}}"));
     }
 
     let json = format!(
         "{{\n  \"benchmark\": \"step_throughput\",\n  \"scenario\": \"Evr\",\n  \"particles\": {n},\n  \
-         \"reps\": {steps},\n  \"note\": \"static-state stage timings, min over reps; before = \
-         construction order + Vec-of-Vec lists + per-step tree alloc (tree uses today's splitter, \
-         so the DomainDecompAndSync speedup is understated) with the pre-grad-h-fix averaged-h \
-         momentum kernel, after = Morton order + CSR + reused workspace (reorder done once up \
-         front) with the corrected per-particle-h kernel, hoisted reciprocals and the branch-free \
-         min-image map (identity on this open box) — the MomentumEnergy row therefore mixes kernel \
-         and data-path changes; DomainDecompAndSync times the propagator's real steady-state stage \
-         (hoisted reorder-interval check: non-reorder steps skip Morton key generation, wrap is a \
-         no-op for open boxes)\",\n  \"memory_bytes\": {mem},\n  \
+         \"reps\": {steps},\n  \"note\": \"static-state stage timings, min over reps; Morton order \
+         + CSR + reused workspace (reorder done once up front); DomainDecompAndSync times the \
+         propagator's real steady-state stage (hoisted reorder-interval check: non-reorder steps \
+         skip Morton key generation, wrap is a no-op for open boxes)\",\n  \"memory_bytes\": {mem},\n  \
          \"field_count\": {fields},\n  \"neighbors\": {{\"min\": {nb_min}, \"mean\": {nb_mean:.1}, \
          \"max\": {nb_max}}},\n  \"stages\": [\n{stages}\n  ]\n}}\n",
-        mem = pa.memory_bytes(),
+        mem = p.memory_bytes(),
         fields = ParticleSet::field_count(),
         stages = stage_lines.join(",\n"),
     );

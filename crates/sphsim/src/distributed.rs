@@ -15,9 +15,9 @@
 //!   layer — every remote particle within interaction range (`2h` of either
 //!   side) of the rank's owned set;
 //! * **`FindNeighbors` … `AVSwitches`** run the unmodified single-rank kernels
-//!   over the local set (owned + ghosts). Ghost rows come out locally
-//!   incomplete, which is harmless: every ghost field consumed downstream is
-//!   overwritten by its owner's value before use;
+//!   over the owned rows, reading owned and ghost neighbours. Ghost rows are
+//!   not computed: every ghost field consumed downstream is overwritten by
+//!   its owner's value before use;
 //! * **`MomentumEnergy`** first refreshes the mid-step ghost fields the
 //!   momentum kernel reads (`ρ, h, P, c, Ω, α` — recomputed this step by each
 //!   owner), then runs the kernel; owned results match the single-rank run to
@@ -41,14 +41,14 @@ use crate::domain::DomainMap;
 use crate::kernels::KERNEL_SUPPORT;
 use crate::octree::Octree;
 use crate::particle::ParticleSet;
-use crate::physics::avswitches::{update_av_switches_binned, update_av_switches_rows};
+use crate::physics::avswitches::update_av_switches_binned;
 use crate::physics::density::{compute_density_rows, update_smoothing_length_rows};
 use crate::physics::eos::apply_eos_rows;
 use crate::physics::gradh::compute_gradh_rows;
 use crate::physics::gravity::{kick, Sources, DEFAULT_THETA};
 use crate::physics::iad::compute_div_curl_rows;
 use crate::physics::momentum::compute_momentum_energy_rows;
-use crate::physics::timestep::{courant_timestep_prefix, update_quantities, update_quantities_binned, TimestepBins};
+use crate::physics::timestep::{courant_timestep_prefix, update_quantities, TimestepBins};
 use crate::physics::turbulence::TurbulenceDriver;
 use crate::propagator::{
     default_turbulence_driver, HealthBaseline, StepSummary, DEFAULT_INITIAL_DT, DEFAULT_MAX_DT, DEFAULT_SOFTENING,
@@ -429,12 +429,12 @@ pub struct DistributedSimulation {
     /// Per destination rank: the local owned indices sent as ghosts this step
     /// (reused by the mid-step field refresh, so both sides agree on order).
     send_lists: Vec<Vec<usize>>,
-    /// Sorted union of the send lists: rows whose mid-step refresh fields ship
-    /// to at least one peer, so they run every pre-momentum stage before the
-    /// exchange is posted (reused buffer).
+    /// Active rows in the union of the send lists: rows whose mid-step
+    /// refresh fields ship to at least one peer, so they run every
+    /// pre-momentum stage before the exchange is posted (reused buffer).
     exchange_rows: Vec<u32>,
-    /// Complement of `exchange_rows` over all local rows — computed while the
-    /// exchange is in flight (reused buffer).
+    /// The other active rows — computed while the exchange is in flight
+    /// (reused buffer).
     post_exchange_rows: Vec<u32>,
     /// Scratch flags backing the partition above (reused buffer).
     row_is_exported: Vec<bool>,
@@ -442,18 +442,14 @@ pub struct DistributedSimulation {
     /// exchange — the binned mid-step refresh needs the block extents to skip
     /// frozen ghost slots while draining the (filtered) update streams.
     ghost_counts: Vec<usize>,
-    /// Individual-timestep state; `None` runs the global-dt scheme.
-    timestep_bins: Option<TimestepBins>,
+    /// Individual-timestep state; one bin is the global-dt scheme.
+    timestep_bins: TimestepBins,
     /// Active owned rows of the current binned substep (reused buffer).
     active_rows: Vec<u32>,
     /// Per-rung row scratch of the binned AV-switch update (reused buffer).
     rung_rows: Vec<u32>,
-    /// Global total energy of the current cycle's start (binned runs only).
+    /// Global total energy of the current cycle's start.
     cycle_energy: f64,
-    /// Active rows whose CSR row stays clear of ghost slots (reused buffer).
-    active_interior_rows: Vec<u32>,
-    /// Active rows whose CSR row reads at least one ghost slot (reused buffer).
-    active_halo_rows: Vec<u32>,
     /// Overlap accounting of the mid-step ghost exchange.
     overlap: OverlapStats,
     /// Background owned-count exchange feeding the next rebalance decision.
@@ -505,12 +501,10 @@ impl DistributedSimulation {
             post_exchange_rows: Vec::new(),
             row_is_exported: Vec::new(),
             ghost_counts: vec![0; size],
-            timestep_bins: None,
+            timestep_bins: TimestepBins::new(1),
             active_rows: Vec::new(),
             rung_rows: Vec::new(),
             cycle_energy: 0.0,
-            active_interior_rows: Vec::new(),
-            active_halo_rows: Vec::new(),
             overlap: OverlapStats::default(),
             pending_counts: None,
             rebalance_threshold: DEFAULT_REBALANCE_THRESHOLD,
@@ -576,20 +570,21 @@ impl DistributedSimulation {
         self
     }
 
-    /// Enable individual (block) timesteps with `n_bins` power-of-two rungs
+    /// Run individual (block) timesteps with `max(n_bins, 1)` power-of-two rungs
     /// (see [`crate::propagator::Simulation::with_timestep_bins`]). Collective
     /// contract: every rank of the communicator must pass the same `n_bins` —
     /// the cycle plan, the limiter rounds and the per-substep collectives are
     /// all agreed globally, and a rank on a different scheme would deadlock.
-    /// `n_bins <= 1` keeps the global-dt scheme untouched.
+    /// A new shard runs one bin, the global-dt scheme; `n_bins <= 1` keeps it.
     pub fn with_timestep_bins(mut self, n_bins: usize) -> Self {
-        self.timestep_bins = (n_bins > 1).then(|| TimestepBins::new(n_bins));
+        self.timestep_bins = TimestepBins::new(n_bins.max(1));
         self
     }
 
-    /// The individual-timestep state, when enabled.
+    /// The individual-timestep state when more than one bin was enabled;
+    /// `None` on the global-dt scheme.
     pub fn timestep_bins(&self) -> Option<&TimestepBins> {
-        self.timestep_bins.as_ref()
+        (self.timestep_bins.n_bins() > 1).then_some(&self.timestep_bins)
     }
 
     /// This rank's communicator.
@@ -749,33 +744,6 @@ impl DistributedSimulation {
         self.ids.push(msg.id);
     }
 
-    /// Partition this step's rows for the overlapped exchange: `exchange_rows`
-    /// is the sorted union of the send lists (rows whose refreshed fields a
-    /// peer will read), `post_exchange_rows` its complement, and the
-    /// workspace's interior/halo split classifies the momentum rows by
-    /// whether their CSR row touches a ghost slot. All buffers are reused —
-    /// the warm path stays allocation-free.
-    fn prepare_row_partition(&mut self) {
-        let n = self.particles.len();
-        self.row_is_exported.clear();
-        self.row_is_exported.resize(n, false);
-        for list in &self.send_lists {
-            for &i in list {
-                self.row_is_exported[i] = true;
-            }
-        }
-        self.exchange_rows.clear();
-        self.post_exchange_rows.clear();
-        for (i, &exported) in self.row_is_exported.iter().enumerate() {
-            if exported {
-                self.exchange_rows.push(i as u32);
-            } else {
-                self.post_exchange_rows.push(i as u32);
-            }
-        }
-        self.workspace.partition_rows(self.n_owned);
-    }
-
     /// Accumulated overlap accounting of the mid-step ghost exchange.
     pub fn overlap_stats(&self) -> OverlapStats {
         self.overlap
@@ -923,250 +891,29 @@ impl DistributedSimulation {
         }
     }
 
-    /// Execute one timestep in lock-step with every other rank.
-    ///
-    /// With individual timesteps enabled
-    /// ([`DistributedSimulation::with_timestep_bins`]) one call advances one
-    /// hierarchical *substep*, in lock-step: the cycle plan, rung limiting and
-    /// the substep dt are agreed through collectives, so every rank takes the
-    /// same branch on every substep.
-    pub fn step(&mut self) -> StepSummary {
-        if self.timestep_bins.is_some() {
-            return self.step_binned();
-        }
-        let hooks = self.hooks.clone();
-        if let Some(h) = &hooks {
-            h.set_iteration(Some(self.step));
-        }
-        let tel = self.telemetry.clone();
-        let rank_tag = self.comm.rank() as u32;
-        let step_span = tel.as_ref().map(|t| {
-            let mut span = t.span("step", "Step", rank_tag);
-            span.arg("step", self.step as f64);
-            span
-        });
-        let rebalances_before = self.rebalance_count;
-
-        Self::instrument(&hooks, &tel, rank_tag, SphStage::DomainDecompAndSync.label(), || {
-            self.sync();
-            self.workspace.rebuild_tree(&self.particles, MAX_LEAF_SIZE);
-        });
-
-        {
-            // Each rank's workspace applies the same builder policy as the
-            // single-rank propagator (cell-list sweep at production sizes,
-            // octree below the cutoff or under strong h polydispersity), so
-            // the 1-rank ≡ N-rank agreement gate covers both builders.
-            let ws = &mut self.workspace;
-            let particles = &mut self.particles;
-            Self::instrument(&hooks, &tel, rank_tag, SphStage::FindNeighbors.label(), || {
-                ws.find_neighbors(particles)
-            });
-        }
-        self.assert_finite_owned(SphStage::FindNeighbors);
-
-        // Split this step's rows so the mid-step ghost exchange can hide under
-        // compute: exported rows (whose refreshed fields ship to a peer) run
-        // every pre-momentum stage first, the exchange is posted nonblocking,
-        // the remaining rows and then the interior momentum rows run while it
-        // is in flight, and only the halo momentum rows wait for completion.
-        // Every pre-momentum stage reads only static neighbour fields
-        // (`x, v, m`) plus row-local state, so the two-pass execution is
-        // value-identical to the single full pass.
-        self.prepare_row_partition();
-        let neighbors = self.workspace.neighbors();
-
-        let target_neighbors = self.target_neighbors;
-        let last_dt = self.last_dt;
-        {
-            let p = &mut self.particles;
-            let rows: &[u32] = &self.exchange_rows;
-            Self::instrument(&hooks, &tel, rank_tag, SphStage::XMass.label(), || {
-                compute_density_rows(p, neighbors, rows);
-                update_smoothing_length_rows(p, target_neighbors, rows);
-            });
-            Self::instrument(&hooks, &tel, rank_tag, SphStage::NormalizationGradh.label(), || {
-                compute_gradh_rows(p, neighbors, rows)
-            });
-            Self::instrument(&hooks, &tel, rank_tag, SphStage::EquationOfState.label(), || {
-                apply_eos_rows(p, rows)
-            });
-            Self::instrument(&hooks, &tel, rank_tag, SphStage::IADVelocityDivCurl.label(), || {
-                compute_div_curl_rows(p, neighbors, rows)
-            });
-            Self::instrument(&hooks, &tel, rank_tag, SphStage::AVSwitches.label(), || {
-                update_av_switches_rows(p, last_dt, rows)
-            });
-        }
-
-        // The exported rows now carry this step's final pre-momentum fields:
-        // put them on the wire and keep computing underneath.
-        let exchange = if self.comm.size() > 1 {
-            let posted_at = Instant::now();
-            let handles = {
-                let comm = &self.comm;
-                let send_lists = &self.send_lists;
-                let p = &self.particles;
-                Self::instrument(&hooks, &tel, rank_tag, "GhostExchangePost", || {
-                    post_ghost_refresh(comm, send_lists, p)
-                })
-            };
-            self.overlap.posted_s += posted_at.elapsed().as_secs_f64();
-            Some((handles, Instant::now()))
-        } else {
-            None
-        };
-
-        {
-            let p = &mut self.particles;
-            let rows: &[u32] = &self.post_exchange_rows;
-            Self::instrument(&hooks, &tel, rank_tag, SphStage::XMass.label(), || {
-                compute_density_rows(p, neighbors, rows);
-                update_smoothing_length_rows(p, target_neighbors, rows);
-            });
-        }
-        self.assert_finite_owned(SphStage::XMass);
-        {
-            let p = &mut self.particles;
-            let rows: &[u32] = &self.post_exchange_rows;
-            Self::instrument(&hooks, &tel, rank_tag, SphStage::NormalizationGradh.label(), || {
-                compute_gradh_rows(p, neighbors, rows)
-            });
-        }
-        self.assert_finite_owned(SphStage::NormalizationGradh);
-        {
-            let p = &mut self.particles;
-            let rows: &[u32] = &self.post_exchange_rows;
-            Self::instrument(&hooks, &tel, rank_tag, SphStage::EquationOfState.label(), || {
-                apply_eos_rows(p, rows)
-            });
-        }
-        self.assert_finite_owned(SphStage::EquationOfState);
-        {
-            let p = &mut self.particles;
-            let rows: &[u32] = &self.post_exchange_rows;
-            Self::instrument(&hooks, &tel, rank_tag, SphStage::IADVelocityDivCurl.label(), || {
-                compute_div_curl_rows(p, neighbors, rows)
-            });
-        }
-        self.assert_finite_owned(SphStage::IADVelocityDivCurl);
-        {
-            let p = &mut self.particles;
-            let rows: &[u32] = &self.post_exchange_rows;
-            Self::instrument(&hooks, &tel, rank_tag, SphStage::AVSwitches.label(), || {
-                update_av_switches_rows(p, last_dt, rows)
-            });
-        }
-        self.assert_finite_owned(SphStage::AVSwitches);
-
-        {
-            // Momentum in two halves around the exchange completion: interior
-            // rows touch no ghost slot and run while the refresh is still in
-            // flight; halo rows (and the ghost rows themselves) wait for the
-            // refreshed ρ/h/P/c/Ω/α before reading them.
-            let comm = &self.comm;
-            let p = &mut self.particles;
-            let ws = &self.workspace;
-            let n_owned = self.n_owned;
-            let overlap = &mut self.overlap;
-            Self::instrument(&hooks, &tel, rank_tag, SphStage::MomentumEnergy.label(), || {
-                {
-                    let _span = tel.as_ref().map(|t| t.span("stage", "MomentumInterior", rank_tag));
-                    compute_momentum_energy_rows(p, neighbors, ws.interior_rows());
-                }
-                if let Some((handles, in_flight_since)) = exchange {
-                    overlap.overlapped_s += in_flight_since.elapsed().as_secs_f64();
-                    let _span = tel.as_ref().map(|t| t.span("stage", "GhostExchangeWait", rank_tag));
-                    let wait_started = Instant::now();
-                    complete_ghost_refresh(comm, p, n_owned, handles);
-                    overlap.waited_s += wait_started.elapsed().as_secs_f64();
-                }
-                {
-                    let _span = tel.as_ref().map(|t| t.span("stage", "MomentumHalo", rank_tag));
-                    compute_momentum_energy_rows(p, neighbors, ws.halo_rows());
-                }
-            });
-        }
-        self.assert_finite_owned(SphStage::MomentumEnergy);
-
-        let mut e_pot = 0.0;
-        if self.scenario.has_gravity() {
-            let comm = &self.comm;
-            let particles = &mut self.particles;
-            let n_owned = self.n_owned;
-            let softening = self.softening;
-            e_pot = Self::instrument(&hooks, &tel, rank_tag, SphStage::Gravity.label(), || {
-                add_gravity_global(comm, particles, n_owned, softening)
-            });
-            self.assert_finite_owned(SphStage::Gravity);
-        }
-
-        if let Some(driver) = &self.driver {
-            let time = self.time;
-            Self::instrument(&hooks, &tel, rank_tag, SphStage::Turbulence.label(), || {
-                driver.apply(&mut self.particles, time)
-            });
-            self.assert_finite_owned(SphStage::Turbulence);
-        }
-
-        let dt = Self::instrument(&hooks, &tel, rank_tag, SphStage::Timestep.label(), || {
-            let local = courant_timestep_prefix(&self.particles, self.n_owned, self.max_dt);
-            self.comm.allreduce_min(local)
-        });
-        assert!(
-            dt.is_finite() && dt > 0.0,
-            "stage {} produced an invalid timestep {dt} at step {} of scenario {}",
-            SphStage::Timestep.label(),
-            self.step,
-            self.scenario.short_name()
-        );
-
-        let local_energy = self.owned_kinetic_internal() + e_pot;
-        Self::instrument(&hooks, &tel, rank_tag, SphStage::UpdateQuantities.label(), || {
-            update_quantities(&mut self.particles, dt)
-        });
-        self.assert_finite_owned(SphStage::UpdateQuantities);
-
-        self.time += dt;
-        self.step += 1;
-        self.last_dt = dt;
-        let summary = StepSummary {
-            step: self.step,
-            dt,
-            time: self.time,
-            total_energy: self.comm.allreduce_sum(local_energy),
-        };
-        drop(step_span);
-        self.emit_step_telemetry(&summary, self.rebalance_count > rebalances_before);
-        // Post the owned counts feeding the next step's rebalance decision in
-        // the background: the wait sits at the top of the next sync, and
-        // ownership is frozen until then. Collectives between steps (say a
-        // caller's total_energy) are safe to cross the in-flight handles —
-        // the transport matches per (sender, message class), and these are
-        // the only p2p messages live between steps.
-        if self.comm.size() > 1 {
-            self.pending_counts = Some(PendingCounts::post(&self.comm, self.n_owned));
-        }
-        summary
-    }
-
-    /// One hierarchical substep of the distributed individual-timestep scheme,
-    /// in lock-step with every other rank.
+    /// Execute one timestep in lock-step with every other rank: one
+    /// hierarchical substep of the block-timestep scheme, whose one-bin case
+    /// is the global-dt scheme.
     ///
     /// The full `DomainDecompAndSync` runs every substep — frozen particles
     /// drift too, so the ghost layer is re-shipped fresh (now carrying the
-    /// owners' rungs) and migration stays live mid-cycle. Mid-cycle the pair
-    /// stages rebuild and recompute only the *active* owned rows, and the
-    /// mid-step ghost refresh is filtered to the active entries on both sides
-    /// — sender and receiver derive activity from the same shipped rungs and
-    /// the same globally agreed schedule, so the streams align without any
-    /// extra header traffic. Cycle planning reduces the Courant minimum
-    /// globally, the neighbour-rung limiter alternates local Jacobi rounds
-    /// with ghost-rung exchanges until no rank reports a change, and the
-    /// deepest rung is agreed by a max-reduction: every rank runs the same
-    /// cycle, so every collective fires on every rank on every substep.
-    fn step_binned(&mut self) -> StepSummary {
-        let mut bins = self.timestep_bins.take().expect("step_binned requires bins");
+    /// owners' rungs) and migration stays live mid-cycle. The pair stages
+    /// compute the *active* owned rows only (every owned row at a cycle
+    /// start); ghost rows are never computed, because the mid-step refresh
+    /// overwrites every ghost field the momentum kernel reads. Mid-cycle the
+    /// CSR rows are rebuilt for the active rows only, and the mid-step ghost
+    /// refresh is filtered to the active entries on both sides — sender and
+    /// receiver derive activity from the same shipped rungs and the same
+    /// globally agreed schedule, so the streams align without any extra
+    /// header traffic. Cycle planning reduces the Courant minimum globally,
+    /// the neighbour-rung limiter alternates local Jacobi rounds with
+    /// ghost-rung exchanges until no rank reports a change, and the deepest
+    /// rung is agreed by a max-reduction: every rank runs the same cycle, so
+    /// every collective fires on every rank on every substep. With one bin
+    /// every substep is a cycle start at the global Courant minimum and the
+    /// rung bookkeeping (assignment, limiter rounds and their collectives,
+    /// per-rung AV-switch split, bin telemetry) is skipped.
+    pub fn step(&mut self) -> StepSummary {
         let mut active = std::mem::take(&mut self.active_rows);
         let mut rung_scratch = std::mem::take(&mut self.rung_rows);
 
@@ -1182,7 +929,7 @@ impl DistributedSimulation {
             span
         });
         let rebalances_before = self.rebalance_count;
-        let sync_start = bins.at_cycle_start();
+        let sync_start = self.timestep_bins.at_cycle_start();
 
         Self::instrument(&hooks, &tel, rank_tag, SphStage::DomainDecompAndSync.label(), || {
             self.sync();
@@ -1196,7 +943,8 @@ impl DistributedSimulation {
             active.clear();
             active.extend(0..self.n_owned as u32);
         } else {
-            bins.collect_active_rows(&self.particles, self.n_owned, &mut active);
+            self.timestep_bins
+                .collect_active_rows(&self.particles, self.n_owned, &mut active);
         }
 
         {
@@ -1219,9 +967,8 @@ impl DistributedSimulation {
         // kernel — a `_rows` kernel overwrites its rows' outputs, and
         // mid-cycle an inactive row's CSR row is empty.
         {
-            let n = self.particles.len();
             self.row_is_exported.clear();
-            self.row_is_exported.resize(n, false);
+            self.row_is_exported.resize(self.n_owned, false);
             for list in &self.send_lists {
                 for &i in list {
                     self.row_is_exported[i] = true;
@@ -1229,22 +976,14 @@ impl DistributedSimulation {
             }
             self.exchange_rows.clear();
             self.post_exchange_rows.clear();
-            self.active_interior_rows.clear();
-            self.active_halo_rows.clear();
-            let nl = self.workspace.neighbors();
-            let n_owned = self.n_owned as u32;
             for &i in active.iter() {
                 if self.row_is_exported[i as usize] {
                     self.exchange_rows.push(i);
                 } else {
                     self.post_exchange_rows.push(i);
                 }
-                if nl.neighbors(i as usize).iter().any(|&j| j >= n_owned) {
-                    self.active_halo_rows.push(i);
-                } else {
-                    self.active_interior_rows.push(i);
-                }
             }
+            self.workspace.partition_rows(&active, self.n_owned);
         }
         let neighbors = self.workspace.neighbors();
 
@@ -1253,7 +992,7 @@ impl DistributedSimulation {
         {
             let p = &mut self.particles;
             let rows: &[u32] = &self.exchange_rows;
-            let b = &bins;
+            let b = &self.timestep_bins;
             let scratch = &mut rung_scratch;
             Self::instrument(&hooks, &tel, rank_tag, SphStage::XMass.label(), || {
                 compute_density_rows(p, neighbors, rows);
@@ -1284,7 +1023,7 @@ impl DistributedSimulation {
                 let comm = &self.comm;
                 let send_lists = &self.send_lists;
                 let p = &self.particles;
-                let b = &bins;
+                let b = &self.timestep_bins;
                 Self::instrument(&hooks, &tel, rank_tag, "GhostExchangePost", || {
                     post_ghost_refresh_filtered(comm, send_lists, p, |i| b.is_active(p.rung[i]))
                 })
@@ -1298,7 +1037,7 @@ impl DistributedSimulation {
         {
             let p = &mut self.particles;
             let rows: &[u32] = &self.post_exchange_rows;
-            let b = &bins;
+            let b = &self.timestep_bins;
             let scratch = &mut rung_scratch;
             Self::instrument(&hooks, &tel, rank_tag, SphStage::XMass.label(), || {
                 compute_density_rows(p, neighbors, rows);
@@ -1325,14 +1064,13 @@ impl DistributedSimulation {
             let p = &mut self.particles;
             let n_owned = self.n_owned;
             let ghost_counts = &self.ghost_counts;
-            let interior: &[u32] = &self.active_interior_rows;
-            let halo: &[u32] = &self.active_halo_rows;
+            let ws = &self.workspace;
             let overlap = &mut self.overlap;
-            let b = &bins;
+            let b = &self.timestep_bins;
             Self::instrument(&hooks, &tel, rank_tag, SphStage::MomentumEnergy.label(), || {
                 {
                     let _span = tel.as_ref().map(|t| t.span("stage", "MomentumInterior", rank_tag));
-                    compute_momentum_energy_rows(p, neighbors, interior);
+                    compute_momentum_energy_rows(p, neighbors, ws.interior_rows());
                 }
                 if let Some((handles, in_flight_since)) = exchange {
                     overlap.overlapped_s += in_flight_since.elapsed().as_secs_f64();
@@ -1343,7 +1081,7 @@ impl DistributedSimulation {
                 }
                 {
                     let _span = tel.as_ref().map(|t| t.span("stage", "MomentumHalo", rank_tag));
-                    compute_momentum_energy_rows(p, neighbors, halo);
+                    compute_momentum_energy_rows(p, neighbors, ws.halo_rows());
                 }
             });
         }
@@ -1357,7 +1095,7 @@ impl DistributedSimulation {
             let softening = self.softening;
             let rows: &[u32] = &active;
             e_pot = Self::instrument(&hooks, &tel, rank_tag, SphStage::Gravity.label(), || {
-                add_gravity_global_rows(comm, particles, n_owned, softening, rows)
+                add_global_gravity_rows(comm, particles, n_owned, softening, rows)
             });
             self.assert_finite_owned(SphStage::Gravity);
         }
@@ -1379,27 +1117,32 @@ impl DistributedSimulation {
             let n_owned = self.n_owned;
             let max_dt = self.max_dt;
             let rows: &[u32] = &active;
-            let b = &mut bins;
+            let b = &mut self.timestep_bins;
             Self::instrument(&hooks, &tel, rank_tag, SphStage::Timestep.label(), || {
                 if sync_start {
                     let local = courant_timestep_prefix(particles, n_owned, max_dt);
                     let dt_min = comm.allreduce_min(local);
                     b.plan(dt_min, max_dt);
-                    b.assign_rungs(particles, n_owned);
-                    // Limiter to the global fixpoint: ship owned rungs onto
-                    // peers' ghost slots, run one local raise-only round,
-                    // stop when no rank changed anything. Raise-only and
-                    // monotone, so the fixpoint is unique — the rank count
-                    // cannot change the result, only how it is reached.
-                    loop {
-                        exchange_ghost_rungs(comm, send_lists, particles, n_owned);
-                        let changed = b.limiter_round(particles, ws.neighbors(), n_owned);
-                        if comm.allreduce_max(if changed { 1.0 } else { 0.0 }) == 0.0 {
-                            break;
+                    // `n_bins` is the same on every rank (collective
+                    // contract), so every rank skips or runs these rounds.
+                    if b.n_bins() > 1 {
+                        b.assign_rungs(particles, n_owned);
+                        // Limiter to the global fixpoint: ship owned rungs
+                        // onto peers' ghost slots, run one local raise-only
+                        // round, stop when no rank changed anything.
+                        // Raise-only and monotone, so the fixpoint is unique
+                        // — the rank count cannot change the result, only
+                        // how it is reached.
+                        loop {
+                            exchange_ghost_rungs(comm, send_lists, particles, n_owned);
+                            let changed = b.limiter_round(particles, ws.neighbors(), n_owned);
+                            if comm.allreduce_max(if changed { 1.0 } else { 0.0 }) == 0.0 {
+                                break;
+                            }
                         }
+                        let k_deep = comm.allreduce_max(b.max_rung(particles, n_owned) as f64) as u32;
+                        b.seal(k_deep);
                     }
-                    let k_deep = comm.allreduce_max(b.max_rung(particles, n_owned) as f64) as u32;
-                    b.seal(k_deep);
                 } else {
                     b.deepen(particles, rows);
                 }
@@ -1418,7 +1161,7 @@ impl DistributedSimulation {
         // shard's whole share there; mid-cycle the energy is carried.
         let local_energy = sync_start.then(|| self.owned_kinetic_internal() + e_pot);
         Self::instrument(&hooks, &tel, rank_tag, SphStage::UpdateQuantities.label(), || {
-            update_quantities_binned(&mut self.particles, &bins)
+            update_quantities(&mut self.particles, &self.timestep_bins)
         });
         self.assert_finite_owned(SphStage::UpdateQuantities);
 
@@ -1435,14 +1178,13 @@ impl DistributedSimulation {
             total_energy: self.cycle_energy,
         };
         drop(step_span);
-        self.emit_bins_telemetry(&bins, sync_start);
+        self.emit_bins_telemetry(sync_start);
         self.emit_step_telemetry(&summary, self.rebalance_count > rebalances_before);
-        bins.advance();
+        self.timestep_bins.advance();
         if self.comm.size() > 1 {
             self.pending_counts = Some(PendingCounts::post(&self.comm, self.n_owned));
         }
 
-        self.timestep_bins = Some(bins);
         self.active_rows = active;
         self.rung_rows = rung_scratch;
         summary
@@ -1453,12 +1195,13 @@ impl DistributedSimulation {
     /// `sim.timestep` instant and bumps `sim.timestep.events` when a new
     /// cycle was planned this substep. Not collective (pure sink writes); the
     /// flush rides on [`DistributedSimulation::emit_step_telemetry`], which
-    /// runs right after.
-    fn emit_bins_telemetry(&self, bins: &TimestepBins, planned: bool) {
+    /// runs right after. No-op with a single bin.
+    fn emit_bins_telemetry(&self, planned: bool) {
+        let bins = &self.timestep_bins;
         let Some(tel) = &self.telemetry else {
             return;
         };
-        if !tel.enabled() {
+        if !tel.enabled() || bins.n_bins() == 1 {
             return;
         }
         let histogram = tel.metrics().histogram("health.dt_bins", &DT_BINS_HISTOGRAM_BOUNDS);
@@ -1677,14 +1420,9 @@ fn bounding_box_prefix(p: &ParticleSet, n: usize) -> ((f64, f64, f64), (f64, f64
 /// Post the mid-step ghost refresh without blocking: one receive per peer
 /// (completed later in source-rank order — the order the ghost tail is stored
 /// in) and one send per peer carrying the fields the momentum kernel reads,
-/// in the exact send-list order of this step's halo exchange.
-fn post_ghost_refresh(comm: &Comm, send_lists: &[Vec<usize>], particles: &ParticleSet) -> GhostExchange {
-    post_ghost_refresh_filtered(comm, send_lists, particles, |_| true)
-}
-
-/// [`post_ghost_refresh`] restricted to the send-list entries `active`
-/// accepts — the binned mid-step refresh ships only the rows kicked this
-/// substep. Receivers skip the frozen ghost slots symmetrically
+/// in the exact send-list order of this step's halo exchange, restricted to
+/// the entries `active` accepts — only the rows kicked this substep ship.
+/// Receivers skip the frozen ghost slots symmetrically
 /// ([`complete_ghost_refresh_binned`]): both sides derive activity from the
 /// same shipped rungs and the same globally agreed schedule, so the filtered
 /// streams stay aligned without any extra header traffic.
@@ -1716,28 +1454,6 @@ fn post_ghost_refresh_filtered(
         })
         .collect();
     GhostExchange { sends, recvs }
-}
-
-/// Complete a posted ghost refresh: drain the receives in source-rank order
-/// onto the ghost tail, then reap the sends.
-fn complete_ghost_refresh(comm: &Comm, particles: &mut ParticleSet, n_owned: usize, exchange: GhostExchange) {
-    let mut slot = n_owned;
-    for recv in exchange.recvs {
-        let updates = recv.wait(comm).expect("peer died during the ghost refresh");
-        for u in &updates {
-            particles.rho[slot] = u.rho;
-            particles.h[slot] = u.h;
-            particles.p[slot] = u.p;
-            particles.c[slot] = u.c;
-            particles.omega[slot] = u.omega;
-            particles.alpha[slot] = u.alpha;
-            slot += 1;
-        }
-    }
-    debug_assert_eq!(slot, particles.len(), "ghost refresh out of sync with the ghost tail");
-    for send in exchange.sends {
-        send.wait().expect("peer died during the ghost refresh");
-    }
 }
 
 /// Complete a *filtered* ghost refresh posted by
@@ -1861,23 +1577,13 @@ impl GlobalSources {
 
 /// Barnes–Hut gravity over the *global* particle distribution: allgather
 /// positions and masses, build the global tree, and accelerate this rank's
-/// owned particles. Returns their share `½ Σ mᵢ φᵢ` of the global potential
-/// energy.
-fn add_gravity_global(comm: &Comm, particles: &mut ParticleSet, n_owned: usize, softening: f64) -> f64 {
-    let global = GlobalSources::gather(comm, particles, n_owned);
-    let tree = global.tree();
-    let (acc, e_pot) = global.sources().walk(&tree, DEFAULT_THETA, softening, n_owned, |k| k);
-    kick(particles, &acc, |k| k);
-    e_pot
-}
-
-/// [`add_gravity_global`] restricted to `rows` (the active owned rows of this
-/// substep). The allgather and the global tree build still run on every rank
-/// on every substep — the collective schedule must stay in lock-step
-/// regardless of local activity — but only the given rows are accelerated;
-/// frozen particles keep the acceleration of their own last kick. Returns
-/// `½ Σ mᵢ φᵢ` over `rows`.
-fn add_gravity_global_rows(
+/// `rows` (the active owned rows of this substep). The allgather and the
+/// global tree build run on every rank on every substep — the collective
+/// schedule must stay in lock-step regardless of local activity — but only
+/// the given rows are accelerated; frozen particles keep the acceleration of
+/// their own last kick. Returns their share `½ Σ mᵢ φᵢ` of the global
+/// potential energy.
+fn add_global_gravity_rows(
     comm: &Comm,
     particles: &mut ParticleSet,
     n_owned: usize,

@@ -20,13 +20,6 @@ pub fn balsara_limiter(div_v: f64, curl_v: f64, c: f64, h: f64) -> f64 {
     abs_div / (abs_div + curl_v.abs() + eps)
 }
 
-/// Update the per-particle artificial-viscosity coefficients.
-pub fn update_av_switches(particles: &mut ParticleSet, dt: f64) {
-    let n = particles.len();
-    let alpha: Vec<f64> = parallel_map(n, |i| av_switch_row(particles, dt, i));
-    particles.alpha = alpha;
-}
-
 /// One row of the viscosity-switch relaxation (purely row-local).
 #[inline]
 fn av_switch_row(particles: &ParticleSet, dt: f64, i: usize) -> f64 {
@@ -49,7 +42,8 @@ fn av_switch_row(particles: &ParticleSet, dt: f64, i: usize) -> f64 {
     (current + (target - current) * w).clamp(ALPHA_MIN, ALPHA_MAX)
 }
 
-/// [`update_av_switches`] restricted to a subset of rows, in place.
+/// Update the per-particle artificial-viscosity coefficients of `rows`, in
+/// place, relaxing each over `dt`.
 pub fn update_av_switches_rows(particles: &mut ParticleSet, dt: f64, rows: &[u32]) {
     let out: Vec<f64> = parallel_map(rows.len(), |k| av_switch_row(particles, dt, rows[k] as usize));
     for (k, &i) in rows.iter().enumerate() {
@@ -61,7 +55,8 @@ pub fn update_av_switches_rows(particles: &mut ParticleSet, dt: f64, rows: &[u32
 /// last kick — its rung's dt, not the substep dt — so `rows` (the active rows
 /// of this substep) is processed one active rung at a time. Before the first
 /// cycle plan (`dt_base == 0`) no rung schedule exists yet; every row falls
-/// back to `last_dt`, exactly like the global-dt scheme's first step.
+/// back to `last_dt`. With one bin every row was kicked on the last substep,
+/// so `last_dt` is its rung dt and the per-rung split is skipped.
 /// `scratch` is the caller's reused per-rung row buffer.
 pub fn update_av_switches_binned(
     particles: &mut ParticleSet,
@@ -70,7 +65,7 @@ pub fn update_av_switches_binned(
     rows: &[u32],
     scratch: &mut Vec<u32>,
 ) {
-    if bins.dt_base() == 0.0 {
+    if bins.dt_base() == 0.0 || bins.n_bins() == 1 {
         update_av_switches_rows(particles, last_dt, rows);
         return;
     }
@@ -122,7 +117,7 @@ mod tests {
         p.curl_v = vec![0.0, 0.0];
         // Integrate a few steps.
         for _ in 0..50 {
-            update_av_switches(&mut p, 0.05);
+            update_av_switches_rows(&mut p, 0.05, &[0, 1]);
         }
         assert!(
             p.alpha[0] > 0.5,

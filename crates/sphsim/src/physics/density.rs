@@ -109,15 +109,6 @@ pub fn compute_density_rows(particles: &mut ParticleSet, neighbors: &NeighborLis
     }
 }
 
-/// Nudge each particle's smoothing length towards the value that would give it
-/// `target_neighbors` neighbours, assuming locally uniform density. The change
-/// is capped at ±20 % per step for stability (as real SPH codes do).
-pub fn update_smoothing_length(particles: &mut ParticleSet, target_neighbors: f64) {
-    let n = particles.len();
-    let new_h: Vec<f64> = parallel_map(n, |i| smoothing_length_row(particles, target_neighbors, i));
-    particles.h = new_h;
-}
-
 /// One row of the smoothing-length update (purely row-local).
 #[inline]
 fn smoothing_length_row(particles: &ParticleSet, target_neighbors: f64, i: usize) -> f64 {
@@ -127,7 +118,10 @@ fn smoothing_length_row(particles: &ParticleSet, target_neighbors: f64, i: usize
     particles.h[i] * bounded
 }
 
-/// [`update_smoothing_length`] restricted to a subset of rows, in place.
+/// Nudge the smoothing length of each of `rows`, in place, towards the value
+/// that would give it `target_neighbors` neighbours, assuming locally uniform
+/// density. The change is capped at ±20 % per step for stability (as real
+/// SPH codes do).
 pub fn update_smoothing_length_rows(particles: &mut ParticleSet, target_neighbors: f64, rows: &[u32]) {
     let out: Vec<f64> = parallel_map(rows.len(), |k| {
         smoothing_length_row(particles, target_neighbors, rows[k] as usize)
@@ -187,11 +181,12 @@ mod tests {
         let tree = build_tree(&p, 16);
         find_neighbors(&mut p, &tree);
         let h_before = p.h.clone();
+        let rows: Vec<u32> = (0..p.len() as u32).collect();
         // Ask for far more neighbours than present -> h must grow (within cap).
-        update_smoothing_length(&mut p, 1000.0);
+        update_smoothing_length_rows(&mut p, 1000.0, &rows);
         assert!(p.h.iter().zip(&h_before).all(|(a, b)| a > b));
         // Ask for almost none -> h must shrink.
-        update_smoothing_length(&mut p, 1.0);
+        update_smoothing_length_rows(&mut p, 1.0, &rows);
         let h_after = p.h.clone();
         assert!(h_after.iter().zip(&p.h).all(|(a, b)| a <= b));
     }

@@ -162,26 +162,16 @@ pub(crate) fn kick(particles: &mut ParticleSet, acc: &[(f64, f64, f64)], slot: i
     }
 }
 
-/// Add the gravitational acceleration of every particle onto `ax/ay/az` and
-/// return the potential energy `½ Σ mᵢ φᵢ` of the set.
+/// Add the gravitational acceleration of each particle of `rows` onto
+/// `ax/ay/az`, in place — frozen particles of an individual-timestep substep
+/// keep their accelerations from their own last kick. Returns `½ Σ mᵢ φᵢ`
+/// over `rows` only, which is the set's potential energy when every row is
+/// active.
 ///
 /// `tree` must have been built over the current positions and masses of
 /// `particles`: the leaf terms read the copy the tree took when it was built,
 /// so a tree over other positions gives other forces. The propagator rebuilds
 /// it every substep before this stage.
-pub fn add_gravity(particles: &mut ParticleSet, tree: &Octree, theta: f64, softening: f64) -> f64 {
-    let n = particles.len();
-    let (acc, e_pot) = Sources::of(particles).walk(tree, theta, softening, n, |k| k);
-    kick(particles, &acc, |k| k);
-    e_pot
-}
-
-/// [`add_gravity`] restricted to a subset of particles, in place — the
-/// active-set form the individual-timestep propagator uses (frozen particles
-/// keep their accelerations from their own last kick substep). Returns
-/// `½ Σ mᵢ φᵢ` over `rows` only, which is the set's potential energy when
-/// every row is active. `tree` must have been built over the current
-/// positions and masses of `particles`, as for [`add_gravity`].
 pub fn add_gravity_rows(particles: &mut ParticleSet, tree: &Octree, theta: f64, softening: f64, rows: &[u32]) -> f64 {
     let slot = |k: usize| rows[k] as usize;
     let (acc, e_pot) = Sources::of(particles).walk(tree, theta, softening, rows.len(), slot);
@@ -228,7 +218,8 @@ mod tests {
     fn gravity_pulls_towards_the_centre_of_mass() {
         let mut p = lattice_cube(6, 1.0, 1.0, 1.3);
         let tree = build_tree(&p, 16);
-        add_gravity(&mut p, &tree, DEFAULT_THETA, 0.01);
+        let rows: Vec<u32> = (0..p.len() as u32).collect();
+        add_gravity_rows(&mut p, &tree, DEFAULT_THETA, 0.01, &rows);
         // The particle closest to the corner must be pulled towards the centre
         // (positive components of acceleration).
         let i = (0..p.len())
@@ -243,7 +234,7 @@ mod tests {
         p.push(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 3.0, 0.1, 0.0);
         p.push(2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 5.0, 0.1, 0.0);
         let tree = build_tree(&p, 4);
-        add_gravity(&mut p, &tree, 0.0, 0.0);
+        add_gravity_rows(&mut p, &tree, 0.0, 0.0, &[0, 1]);
         // a_0 = G m_1 / r² = 5/4, pointing towards +x; a_1 = 3/4 towards -x.
         assert!((p.ax[0] - 1.25).abs() < 1e-9);
         assert!((p.ax[1] + 0.75).abs() < 1e-9);
@@ -297,8 +288,8 @@ mod tests {
         let tree = build_tree(&p, MAX_LEAF_SIZE);
         let e_tree = potential_energy_tree(&p, 0.02);
         let mut q = p.clone();
-        let e_all = add_gravity(&mut p, &tree, DEFAULT_THETA, 0.02);
         let rows: Vec<u32> = (0..q.len() as u32).collect();
+        let e_all = add_gravity_rows(&mut p, &tree, DEFAULT_THETA, 0.02, &rows);
         let e_rows = add_gravity_rows(&mut q, &tree, DEFAULT_THETA, 0.02, &rows);
         assert_eq!(e_all.to_bits(), e_tree.to_bits());
         assert_eq!(e_rows.to_bits(), e_all.to_bits());

@@ -81,56 +81,6 @@ pub fn courant_timestep_prefix(particles: &ParticleSet, n: usize, max_dt: f64) -
     partials.into_iter().fold(max_dt, f64::min).max(1e-12)
 }
 
-/// Advance positions, velocities and internal energy by `dt` with a
-/// kick-drift (semi-implicit Euler) update, as SPH-EXA's `UpdateQuantities` does.
-pub fn update_quantities(particles: &mut ParticleSet, dt: f64) {
-    let n = particles.len();
-    let ax = particles.ax.clone();
-    let ay = particles.ay.clone();
-    let az = particles.az.clone();
-    let du = particles.du.clone();
-
-    parallel_chunks_mut(&mut particles.vx[..n], |s, c| {
-        for (k, v) in c.iter_mut().enumerate() {
-            *v += ax[s + k] * dt;
-        }
-    });
-    parallel_chunks_mut(&mut particles.vy[..n], |s, c| {
-        for (k, v) in c.iter_mut().enumerate() {
-            *v += ay[s + k] * dt;
-        }
-    });
-    parallel_chunks_mut(&mut particles.vz[..n], |s, c| {
-        for (k, v) in c.iter_mut().enumerate() {
-            *v += az[s + k] * dt;
-        }
-    });
-
-    let vx = particles.vx.clone();
-    let vy = particles.vy.clone();
-    let vz = particles.vz.clone();
-    parallel_chunks_mut(&mut particles.x[..n], |s, c| {
-        for (k, x) in c.iter_mut().enumerate() {
-            *x += vx[s + k] * dt;
-        }
-    });
-    parallel_chunks_mut(&mut particles.y[..n], |s, c| {
-        for (k, y) in c.iter_mut().enumerate() {
-            *y += vy[s + k] * dt;
-        }
-    });
-    parallel_chunks_mut(&mut particles.z[..n], |s, c| {
-        for (k, z) in c.iter_mut().enumerate() {
-            *z += vz[s + k] * dt;
-        }
-    });
-    parallel_chunks_mut(&mut particles.u[..n], |s, c| {
-        for (k, u) in c.iter_mut().enumerate() {
-            *u = (*u + du[s + k] * dt).max(1e-12);
-        }
-    });
-}
-
 // ---------------------------------------------------------------------------
 // Individual (block) timesteps
 // ---------------------------------------------------------------------------
@@ -379,13 +329,15 @@ impl TimestepBins {
     }
 }
 
-/// The binned counterpart of [`update_quantities`]: kick (velocity and
-/// internal energy) only the particles whose rung is active this substep,
-/// each by its **own** rung dt, then drift *every* particle by the substep
-/// dt. Holding `v` piecewise-constant between kicks makes the accumulated
-/// drift of a rung-`k` particle over its kick period exactly `v_new · dt_k` —
-/// the same position advance the global-dt update performs in one step.
-pub fn update_quantities_binned(particles: &mut ParticleSet, bins: &TimestepBins) {
+/// Advance positions, velocities and internal energy with a kick-drift
+/// (semi-implicit Euler) update, as SPH-EXA's `UpdateQuantities` does: kick
+/// (velocity and internal energy) only the particles whose rung is active
+/// this substep, each by its **own** rung dt, then drift *every* particle by
+/// the substep dt. Holding `v` piecewise-constant between kicks makes the
+/// accumulated drift of a rung-`k` particle over its kick period exactly
+/// `v_new · dt_k` — the same position advance a global-dt step performs. With
+/// one bin every particle is kicked and drifted by `dt_base`.
+pub fn update_quantities(particles: &mut ParticleSet, bins: &TimestepBins) {
     let n = particles.len();
     let dt_sub = bins.dt_sub();
     // Per-particle kick dt: the rung dt for active particles, 0 for frozen
@@ -530,12 +482,19 @@ mod tests {
         assert_eq!(courant_timestep(&p, 1.0), expected.max(1e-12));
     }
 
+    /// A planned one-bin schedule whose single substep is `dt`.
+    fn global_dt(dt: f64) -> TimestepBins {
+        let mut bins = TimestepBins::new(1);
+        bins.plan(dt, dt);
+        bins
+    }
+
     #[test]
     fn update_advances_position_velocity_energy() {
         let mut p = single_particle(1.0, 1.0, 0.1);
         p.ax = vec![2.0];
         p.du = vec![0.5];
-        update_quantities(&mut p, 0.1);
+        update_quantities(&mut p, &global_dt(0.1));
         assert!((p.vx[0] - 1.2).abs() < 1e-12);
         assert!((p.x[0] - 0.12).abs() < 1e-12);
         assert!((p.u[0] - 1.05).abs() < 1e-12);
@@ -545,7 +504,7 @@ mod tests {
     fn internal_energy_never_goes_negative() {
         let mut p = single_particle(0.0, 1.0, 0.1);
         p.du = vec![-1.0e9];
-        update_quantities(&mut p, 1.0);
+        update_quantities(&mut p, &global_dt(1.0));
         assert!(p.u[0] > 0.0);
     }
 
@@ -683,7 +642,7 @@ mod tests {
         bins.advance();
         assert!(!bins.is_active(0));
         assert!(bins.is_active(1));
-        update_quantities_binned(&mut p, &bins);
+        update_quantities(&mut p, &bins);
         let dt_sub = bins.dt_sub();
         assert_eq!(dt_sub, 0.025);
         // Rung 0 froze its velocity and energy but still drifted.

@@ -99,21 +99,8 @@ impl TurbulenceDriver {
         (a.0 * self.strength, a.1 * self.strength, a.2 * self.strength)
     }
 
-    /// Add the stirring acceleration to every particle.
-    pub fn apply(&self, particles: &mut ParticleSet, time: f64) {
-        let n = particles.len();
-        let acc: Vec<(f64, f64, f64)> = parallel_map(n, |i| {
-            self.acceleration_at((particles.x[i], particles.y[i], particles.z[i]), time)
-        });
-        for (i, (ax, ay, az)) in acc.into_iter().enumerate() {
-            particles.ax[i] += ax;
-            particles.ay[i] += ay;
-            particles.az[i] += az;
-        }
-    }
-
-    /// [`TurbulenceDriver::apply`] restricted to a subset of particles — the
-    /// active-set form of the individual-timestep propagator.
+    /// Add the stirring acceleration to each particle of `rows` (the active
+    /// rows of the current substep).
     pub fn apply_rows(&self, particles: &mut ParticleSet, time: f64, rows: &[u32]) {
         let acc: Vec<(f64, f64, f64)> = parallel_map(rows.len(), |k| {
             let i = rows[k] as usize;
@@ -184,7 +171,8 @@ mod tests {
     fn apply_adds_kinetic_stirring() {
         let mut p = lattice_cube(5, 1.0, 1.0, 1.3);
         let d = TurbulenceDriver::new(1.0, 2.0, 11);
-        d.apply(&mut p, 0.0);
+        let rows: Vec<u32> = (0..p.len() as u32).collect();
+        d.apply_rows(&mut p, 0.0, &rows);
         let total_a: f64 = (0..p.len()).map(|i| p.ax[i].abs() + p.ay[i].abs() + p.az[i].abs()).sum();
         assert!(total_a > 0.0);
     }

@@ -8,16 +8,14 @@
 
 use crate::observables::neighbor_count_stats;
 use crate::particle::ParticleSet;
-use crate::physics::avswitches::{update_av_switches, update_av_switches_binned};
-use crate::physics::density::{
-    compute_density, compute_density_rows, update_smoothing_length, update_smoothing_length_rows,
-};
-use crate::physics::eos::{apply_eos, apply_eos_rows};
-use crate::physics::gradh::{compute_gradh, compute_gradh_rows};
-use crate::physics::gravity::{add_gravity, add_gravity_rows, potential_energy_tree, DEFAULT_THETA};
-use crate::physics::iad::{compute_div_curl, compute_div_curl_rows};
-use crate::physics::momentum::{compute_momentum_energy, compute_momentum_energy_rows};
-use crate::physics::timestep::{courant_timestep, update_quantities, update_quantities_binned, TimestepBins};
+use crate::physics::avswitches::update_av_switches_binned;
+use crate::physics::density::{compute_density_rows, update_smoothing_length_rows};
+use crate::physics::eos::apply_eos_rows;
+use crate::physics::gradh::compute_gradh_rows;
+use crate::physics::gravity::{add_gravity_rows, potential_energy_tree, DEFAULT_THETA};
+use crate::physics::iad::compute_div_curl_rows;
+use crate::physics::momentum::compute_momentum_energy_rows;
+use crate::physics::timestep::{courant_timestep, update_quantities, TimestepBins};
 use crate::physics::turbulence::TurbulenceDriver;
 use crate::scenario::{self, ScenarioRef};
 use crate::stages::SphStage;
@@ -120,14 +118,14 @@ pub struct Simulation {
     /// `position[original] = current`: inverse of `origin`.
     position: Vec<u32>,
     reorder_interval: u64,
-    /// Individual-timestep state; `None` runs the global-dt scheme (the
-    /// bit-pinned reference path). See [`Simulation::with_timestep_bins`].
-    timestep_bins: Option<TimestepBins>,
+    /// Individual-timestep state; one bin is the global-dt scheme (the
+    /// default). See [`Simulation::with_timestep_bins`].
+    timestep_bins: TimestepBins,
     /// Active-row scratch of the binned substep (reused across substeps).
     active_rows: Vec<u32>,
     /// Per-rung row scratch of the binned AV-switch update.
     rung_rows: Vec<u32>,
-    /// Total energy of the current cycle's start (binned runs only).
+    /// Total energy of the current cycle's start.
     cycle_energy: f64,
     time: f64,
     step: u64,
@@ -157,7 +155,7 @@ impl Simulation {
             origin: identity.clone(),
             position: identity,
             reorder_interval: DEFAULT_REORDER_INTERVAL,
-            timestep_bins: None,
+            timestep_bins: TimestepBins::new(1),
             active_rows: Vec::new(),
             rung_rows: Vec::new(),
             cycle_energy: 0.0,
@@ -234,8 +232,9 @@ impl Simulation {
         self
     }
 
-    /// Set how often (in steps) the particle storage is re-sorted into Morton
-    /// order inside `DomainDecompAndSync`; `0` disables reordering entirely
+    /// Set how often (in timestep cycles, which are steps on the global-dt
+    /// scheme) the particle storage is re-sorted into Morton order inside
+    /// `DomainDecompAndSync`; `0` disables reordering entirely
     /// (particles stay in construction order). Defaults to
     /// [`DEFAULT_REORDER_INTERVAL`].
     pub fn with_reorder_interval(mut self, every_n_steps: u64) -> Self {
@@ -243,24 +242,26 @@ impl Simulation {
         self
     }
 
-    /// Enable individual (block) timesteps with `n_bins` power-of-two rungs:
-    /// each particle is assigned a rung `k` with `dt_k = dt_base / 2^k` from
+    /// Run individual (block) timesteps with `max(n_bins, 1)` power-of-two
+    /// rungs: each particle is assigned a rung `k` with `dt_k = dt_base / 2^k` from
     /// its local Courant criterion, neighbouring rungs are limited to differ
     /// by at most one level, and each [`Simulation::step`] call advances one
     /// hierarchical substep — only the particles whose rung is active get the
     /// full density/gradh/IAD/momentum update, everyone else just drifts.
     ///
-    /// `n_bins <= 1` keeps the global-dt scheme, bit-identical to not calling
-    /// this at all (pinned by the conservation-digest tests).
+    /// A new simulation runs one bin, which is the global-dt scheme: every
+    /// substep is a whole cycle at the Courant minimum. `n_bins <= 1` keeps
+    /// that one bin, bit-identical to not calling this at all (pinned by the
+    /// conservation-digest tests).
     pub fn with_timestep_bins(mut self, n_bins: usize) -> Self {
-        self.timestep_bins = (n_bins > 1).then(|| TimestepBins::new(n_bins));
+        self.timestep_bins = TimestepBins::new(n_bins.max(1));
         self
     }
 
-    /// The individual-timestep state, when enabled via
-    /// [`Simulation::with_timestep_bins`].
+    /// The individual-timestep state when more than one bin was enabled via
+    /// [`Simulation::with_timestep_bins`]; `None` on the global-dt scheme.
     pub fn timestep_bins(&self) -> Option<&TimestepBins> {
-        self.timestep_bins.as_ref()
+        (self.timestep_bins.n_bins() > 1).then_some(&self.timestep_bins)
     }
 
     /// Construction-order index of the particle currently stored in slot
@@ -384,150 +385,21 @@ impl Simulation {
 
     /// Execute one timestep through the full named pipeline.
     ///
-    /// With individual timesteps enabled ([`Simulation::with_timestep_bins`])
-    /// one call advances one hierarchical *substep* — the summary's `dt` is
-    /// the substep size `dt_base / 2^k_deep`, and a full cycle of
-    /// `2^k_deep` calls advances time by `dt_base`.
-    pub fn step(&mut self) -> StepSummary {
-        if self.timestep_bins.is_some() {
-            return self.step_binned();
-        }
-        let hooks = self.hooks.clone();
-        if let Some(h) = &hooks {
-            h.set_iteration(Some(self.step));
-        }
-        let tel = self.telemetry.clone();
-        let step_span = tel.as_ref().map(|t| {
-            let mut span = t.span("step", "Step", 0);
-            span.arg("step", self.step as f64);
-            span
-        });
-
-        // DomainDecompAndSync: wrap positions back into a periodic box, every
-        // `reorder_interval` steps sort the particle storage into Morton
-        // order (so octree leaves and CSR neighbour rows cover contiguous
-        // memory), then (re)build the global tree into the workspace's node
-        // arena — the single-rank equivalent of domain decomposition + halo
-        // sync. The interval decision is made here, before any Morton-key
-        // work, so non-reorder steps skip key generation entirely.
-        let reorder_due = self.reorder_interval > 0 && self.step.is_multiple_of(self.reorder_interval);
-        {
-            let ws = &mut self.workspace;
-            let particles = &mut self.particles;
-            let origin = &mut self.origin;
-            Self::instrument(&hooks, &tel, SphStage::DomainDecompAndSync.label(), || {
-                ws.domain_sync(particles, origin, reorder_due, MAX_LEAF_SIZE);
-            });
-        }
-        if reorder_due {
-            for (current, &original) in self.origin.iter().enumerate() {
-                self.position[original as usize] = current as u32;
-            }
-        }
-
-        {
-            let ws = &mut self.workspace;
-            let particles = &mut self.particles;
-            Self::instrument(&hooks, &tel, SphStage::FindNeighbors.label(), || {
-                ws.find_neighbors(particles)
-            });
-        }
-        self.assert_finite_after(SphStage::FindNeighbors);
-        let neighbors = self.workspace.neighbors();
-
-        Self::instrument(&hooks, &tel, SphStage::XMass.label(), || {
-            compute_density(&mut self.particles, neighbors);
-            update_smoothing_length(&mut self.particles, self.target_neighbors);
-        });
-        self.assert_finite_after(SphStage::XMass);
-
-        Self::instrument(&hooks, &tel, SphStage::NormalizationGradh.label(), || {
-            compute_gradh(&mut self.particles, neighbors)
-        });
-        self.assert_finite_after(SphStage::NormalizationGradh);
-
-        Self::instrument(&hooks, &tel, SphStage::EquationOfState.label(), || {
-            apply_eos(&mut self.particles)
-        });
-        self.assert_finite_after(SphStage::EquationOfState);
-
-        Self::instrument(&hooks, &tel, SphStage::IADVelocityDivCurl.label(), || {
-            compute_div_curl(&mut self.particles, neighbors)
-        });
-        self.assert_finite_after(SphStage::IADVelocityDivCurl);
-
-        let last_dt = self.last_dt;
-        Self::instrument(&hooks, &tel, SphStage::AVSwitches.label(), || {
-            update_av_switches(&mut self.particles, last_dt)
-        });
-        self.assert_finite_after(SphStage::AVSwitches);
-
-        Self::instrument(&hooks, &tel, SphStage::MomentumEnergy.label(), || {
-            compute_momentum_energy(&mut self.particles, neighbors)
-        });
-        self.assert_finite_after(SphStage::MomentumEnergy);
-
-        let mut e_pot = 0.0;
-        if self.scenario.has_gravity() {
-            let tree = self.workspace.tree();
-            e_pot = Self::instrument(&hooks, &tel, SphStage::Gravity.label(), || {
-                add_gravity(&mut self.particles, tree, DEFAULT_THETA, self.softening)
-            });
-            self.assert_finite_after(SphStage::Gravity);
-        }
-
-        if let Some(driver) = &self.driver {
-            let time = self.time;
-            Self::instrument(&hooks, &tel, SphStage::Turbulence.label(), || {
-                driver.apply(&mut self.particles, time)
-            });
-            self.assert_finite_after(SphStage::Turbulence);
-        }
-
-        let dt = Self::instrument(&hooks, &tel, SphStage::Timestep.label(), || {
-            courant_timestep(&self.particles, self.max_dt)
-        });
-        assert!(
-            dt.is_finite() && dt > 0.0,
-            "stage {} produced an invalid timestep {dt} at step {} of scenario {}",
-            SphStage::Timestep.label(),
-            self.step,
-            self.scenario.short_name()
-        );
-
-        let total_energy = self.particles.kinetic_energy() + self.particles.internal_energy() + e_pot;
-        Self::instrument(&hooks, &tel, SphStage::UpdateQuantities.label(), || {
-            update_quantities(&mut self.particles, dt)
-        });
-        self.assert_finite_after(SphStage::UpdateQuantities);
-
-        self.time += dt;
-        self.step += 1;
-        self.last_dt = dt;
-        let summary = StepSummary {
-            step: self.step,
-            dt,
-            time: self.time,
-            total_energy,
-        };
-        drop(step_span);
-        self.emit_step_telemetry(&summary, reorder_due);
-        summary
-    }
-
-    /// One hierarchical substep of the individual-timestep scheme.
+    /// Every call advances one hierarchical substep of the block-timestep
+    /// scheme; the global-dt scheme is its one-bin case.
     ///
     /// At a *cycle start* (`phase == 0`) every particle is active: the full
     /// pipeline runs, the cycle is re-planned from the global Courant minimum,
     /// rungs are reassigned and limited (`|k_i − k_j| ≤ 1` across neighbour
     /// rows) and the deepest rung fixes the substep `dt_sub = dt_base /
-    /// 2^k_deep`. *Mid-cycle* only the rows whose rung is active are rebuilt
-    /// (subset CSR over the fresh tree) and re-accelerated; frozen particles
-    /// keep their accelerations and just drift. Stage labels and telemetry
-    /// match the global-dt pipeline, so traces and power measurements stay
-    /// comparable across the two schemes.
-    fn step_binned(&mut self) -> StepSummary {
-        let mut bins = self.timestep_bins.take().expect("step_binned requires bins");
+    /// 2^k_deep`, so the summary's `dt` is the substep size and a full cycle
+    /// of `2^k_deep` calls advances time by `dt_base`. *Mid-cycle* only the
+    /// rows whose rung is active are rebuilt (subset CSR over the fresh tree)
+    /// and re-accelerated; frozen particles keep their accelerations and just
+    /// drift. With one bin every call is a cycle start whose `dt_base` is the
+    /// Courant minimum itself, and the rung bookkeeping (assignment, limiter,
+    /// per-rung AV-switch split, bin telemetry) is skipped: every rung is 0.
+    pub fn step(&mut self) -> StepSummary {
         let mut active = std::mem::take(&mut self.active_rows);
         let mut rung_rows = std::mem::take(&mut self.rung_rows);
 
@@ -542,13 +414,21 @@ impl Simulation {
             span
         });
 
+        // DomainDecompAndSync: wrap positions back into a periodic box, every
+        // `reorder_interval` cycles sort the particle storage into Morton
+        // order (so octree leaves and CSR neighbour rows cover contiguous
+        // memory), then (re)build the global tree into the workspace's node
+        // arena — the single-rank equivalent of domain decomposition + halo
+        // sync. The interval decision is made here, before any Morton-key
+        // work, so non-reorder steps skip key generation entirely. Reorders
+        // are paced by *cycles*, not substeps (a deep cycle would otherwise
+        // re-sort 2^k_deep times per dt_base), and happen only at a cycle
+        // start — mid-cycle the frozen particles' CSR rows must stay aligned
+        // with their stale accelerations.
         let n = self.particles.len();
-        let sync = bins.at_cycle_start();
-        // Morton reorders are paced by *cycles*, not substeps (a deep cycle
-        // would otherwise re-sort 2^k_deep times per dt_base), and only at a
-        // cycle start — mid-cycle the frozen particles' CSR rows must stay
-        // aligned with their stale accelerations.
-        let reorder_due = sync && self.reorder_interval > 0 && bins.cycles().is_multiple_of(self.reorder_interval);
+        let sync = self.timestep_bins.at_cycle_start();
+        let reorder_due =
+            sync && self.reorder_interval > 0 && self.timestep_bins.cycles().is_multiple_of(self.reorder_interval);
         {
             let ws = &mut self.workspace;
             let particles = &mut self.particles;
@@ -570,7 +450,7 @@ impl Simulation {
             active.clear();
             active.extend(0..n as u32);
         } else {
-            bins.collect_active_rows(&self.particles, n, &mut active);
+            self.timestep_bins.collect_active_rows(&self.particles, n, &mut active);
         }
 
         {
@@ -611,14 +491,13 @@ impl Simulation {
 
         // The AV switch relaxes alpha over the time since the particle's last
         // kick — its own rung dt, not the substep dt. Before the first plan
-        // (dt_base == 0) the helper falls back to the global-dt seed exactly
-        // as the legacy first step does.
+        // (dt_base == 0) the helper falls back to the `last_dt` seed.
         {
             let particles = &mut self.particles;
             let last_dt = self.last_dt;
             let rows = &active;
             let rung_scratch = &mut rung_rows;
-            let b = &bins;
+            let b = &self.timestep_bins;
             Self::instrument(&hooks, &tel, SphStage::AVSwitches.label(), || {
                 update_av_switches_binned(particles, b, last_dt, rows, rung_scratch)
             });
@@ -652,14 +531,16 @@ impl Simulation {
             let ws = &self.workspace;
             let max_dt = self.max_dt;
             let rows = &active;
-            let b = &mut bins;
+            let b = &mut self.timestep_bins;
             Self::instrument(&hooks, &tel, SphStage::Timestep.label(), || {
                 if sync {
                     let dt_min = courant_timestep(particles, max_dt);
                     b.plan(dt_min, max_dt);
-                    b.assign_rungs(particles, n);
-                    while b.limiter_round(particles, ws.neighbors(), n) {}
-                    b.seal(b.max_rung(particles, n));
+                    if b.n_bins() > 1 {
+                        b.assign_rungs(particles, n);
+                        while b.limiter_round(particles, ws.neighbors(), n) {}
+                        b.seal(b.max_rung(particles, n));
+                    }
                 } else {
                     b.deepen(particles, rows);
                 }
@@ -680,7 +561,7 @@ impl Simulation {
             self.cycle_energy = self.particles.kinetic_energy() + self.particles.internal_energy() + e_pot;
         }
         Self::instrument(&hooks, &tel, SphStage::UpdateQuantities.label(), || {
-            update_quantities_binned(&mut self.particles, &bins)
+            update_quantities(&mut self.particles, &self.timestep_bins)
         });
         self.assert_finite_after(SphStage::UpdateQuantities);
 
@@ -694,11 +575,10 @@ impl Simulation {
             total_energy: self.cycle_energy,
         };
         drop(step_span);
-        self.emit_bins_telemetry(&bins, sync);
+        self.emit_bins_telemetry(sync);
         self.emit_step_telemetry(&summary, reorder_due);
-        bins.advance();
+        self.timestep_bins.advance();
 
-        self.timestep_bins = Some(bins);
         self.active_rows = active;
         self.rung_rows = rung_rows;
         summary
@@ -708,12 +588,13 @@ impl Simulation {
     /// occupancy histogram every substep, plus a `sim.timestep` instant and
     /// the `sim.timestep.events` counter whenever a new cycle was planned.
     /// The flush rides on [`Simulation::emit_step_telemetry`], which runs
-    /// right after. No-op without an enabled sink.
-    fn emit_bins_telemetry(&mut self, bins: &TimestepBins, planned: bool) {
+    /// right after. No-op without an enabled sink or with a single bin.
+    fn emit_bins_telemetry(&self, planned: bool) {
+        let bins = &self.timestep_bins;
         let Some(tel) = &self.telemetry else {
             return;
         };
-        if !tel.enabled() {
+        if !tel.enabled() || bins.n_bins() == 1 {
             return;
         }
         let rank = 0;
@@ -1071,8 +952,8 @@ mod tests {
 
     #[test]
     fn one_timestep_bin_is_the_global_scheme_bitwise() {
-        // `with_timestep_bins(1)` must not even enter the binned driver: the
-        // evolution stays bit-identical to the untouched global-dt path.
+        // `with_timestep_bins(1)` is the default one-bin scheme: the
+        // evolution stays bit-identical to not calling it at all.
         let scenario = crate::scenario::get("Sedov").unwrap();
         let mut plain = Simulation::from_scenario(scenario.clone(), 400, 7);
         let mut binned = Simulation::from_scenario(scenario, 400, 7).with_timestep_bins(1);

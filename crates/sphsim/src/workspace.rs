@@ -181,26 +181,28 @@ impl StepWorkspace {
         };
     }
 
-    /// Split the current CSR rows (valid after [`StepWorkspace::find_neighbors`])
-    /// into **interior** rows — owned rows (`< n_owned`) referencing no slot at
-    /// or past `n_owned` — and **halo** rows (everything else: owned rows that
-    /// read a ghost, plus the ghost rows themselves). The distributed
+    /// Split `rows` of the current CSR lists (valid after
+    /// [`StepWorkspace::find_neighbors`] or
+    /// [`StepWorkspace::find_neighbors_rows`]) into **interior** rows — owned
+    /// rows (`< n_owned`) referencing no slot at or past `n_owned` — and
+    /// **halo** rows (everything else: owned rows that read a ghost, plus any
+    /// ghost rows given). Both keep the order of `rows`. The distributed
     /// propagator runs the momentum kernel over the interior rows while the
     /// mid-step ghost refresh is in flight and finishes the halo rows after it
     /// completes. Both buffers are reused across steps, so a warm call
     /// performs no heap allocation (part of the `alloc_free_neighbors` gate).
-    pub fn partition_rows(&mut self, n_owned: usize) {
+    pub fn partition_rows(&mut self, rows: &[u32], n_owned: usize) {
         self.interior_rows.clear();
         self.halo_rows.clear();
-        let n = self.neighbors.len();
-        self.interior_rows.reserve(n);
-        self.halo_rows.reserve(n);
-        for i in 0..n {
-            let interior = i < n_owned && self.neighbors.neighbors(i).iter().all(|&j| (j as usize) < n_owned);
+        self.interior_rows.reserve(rows.len());
+        self.halo_rows.reserve(rows.len());
+        for &i in rows {
+            let interior =
+                (i as usize) < n_owned && self.neighbors.neighbors(i as usize).iter().all(|&j| (j as usize) < n_owned);
             if interior {
-                self.interior_rows.push(i as u32);
+                self.interior_rows.push(i);
             } else {
-                self.halo_rows.push(i as u32);
+                self.halo_rows.push(i);
             }
         }
     }
@@ -211,8 +213,8 @@ impl StepWorkspace {
         &self.interior_rows
     }
 
-    /// Rows whose pair sums read at least one ghost slot, plus the ghost rows
-    /// themselves (valid after [`StepWorkspace::partition_rows`]).
+    /// Rows whose pair sums read at least one ghost slot, plus any ghost rows
+    /// (valid after [`StepWorkspace::partition_rows`]).
     pub fn halo_rows(&self) -> &[u32] {
         &self.halo_rows
     }

@@ -49,13 +49,14 @@ fn neighbour_pipeline_allocates_nothing_after_warmup() {
     // Exercise the distributed row partition too: treat the lower half as
     // "owned" so both interior and halo classifications occur every step.
     let n_owned = particles.len() / 2;
+    let rows: Vec<u32> = (0..particles.len() as u32).collect();
 
     // Warm-up: buffers grow to steady-state capacity.
     for _ in 0..3 {
         workspace.reorder_by_morton(&mut particles, &mut origin);
         workspace.rebuild_tree(&particles, 32);
         workspace.find_neighbors(&mut particles);
-        workspace.partition_rows(n_owned);
+        workspace.partition_rows(&rows, n_owned);
     }
 
     // The counting allocator is process-global, so a libtest harness thread
@@ -71,7 +72,7 @@ fn neighbour_pipeline_allocates_nothing_after_warmup() {
             workspace.reorder_by_morton(&mut particles, &mut origin);
             workspace.rebuild_tree(&particles, 32);
             workspace.find_neighbors(&mut particles);
-            workspace.partition_rows(n_owned);
+            workspace.partition_rows(&rows, n_owned);
         }
         ALLOCATIONS.load(Ordering::SeqCst) == before
     });
@@ -94,7 +95,7 @@ fn neighbour_pipeline_allocates_nothing_after_warmup() {
         workspace.reorder_by_morton(&mut particles, &mut origin);
         workspace.rebuild_tree(&particles, 32);
         workspace.find_neighbors(&mut particles);
-        workspace.partition_rows(n_owned);
+        workspace.partition_rows(&rows, n_owned);
     }
     assert!(
         workspace.neighbor_build_stats().used_cells,
@@ -107,7 +108,7 @@ fn neighbour_pipeline_allocates_nothing_after_warmup() {
             workspace.reorder_by_morton(&mut particles, &mut origin);
             workspace.rebuild_tree(&particles, 32);
             workspace.find_neighbors(&mut particles);
-            workspace.partition_rows(n_owned);
+            workspace.partition_rows(&rows, n_owned);
         }
         ALLOCATIONS.load(Ordering::SeqCst) == before
     });

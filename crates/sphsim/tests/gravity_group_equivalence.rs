@@ -18,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sphsim::init::evrard::evrard_sphere;
 use sphsim::octree::{GravityTargets, Octree, GRAVITY_LANES};
-use sphsim::physics::gravity::{add_gravity, add_gravity_rows, gravity_group, potential_energy_tree, Sources};
+use sphsim::physics::gravity::{add_gravity_rows, gravity_group, potential_energy_tree, Sources};
 use sphsim::{scenario, ParticleSet, Simulation};
 
 /// The propagator's leaf size.
@@ -348,7 +348,8 @@ pub fn stage_functions_match_the_oracle() {
     };
     for theta in THETAS {
         let mut full = zeroed();
-        let e_full = add_gravity(&mut full, &tree, theta, eps);
+        let all: Vec<u32> = (0..full.len() as u32).collect();
+        let e_full = add_gravity_rows(&mut full, &tree, theta, eps, &all);
         let mut twice = 0.0;
         for i in 0..full.len() {
             let (acc, phi) = oracle(i, theta);

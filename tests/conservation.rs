@@ -215,10 +215,10 @@ fn open_box_scenarios_are_bit_identical_to_pre_periodic_goldens() {
 #[test]
 fn one_timestep_bin_is_bit_identical_to_the_global_goldens() {
     // The individual-timestep configuration with a single bin IS the global
-    // scheme: `with_timestep_bins(1)` must not even install the binned
-    // driver, so the evolved state matches the pre-binned goldens bit for
-    // bit. This pins the opt-in contract — no rung bookkeeping, no extra
-    // rounding, no reordered arithmetic leaks into the default path.
+    // scheme: `with_timestep_bins(1)` keeps the default one-bin driver, so
+    // the evolved state matches the pre-binned goldens bit for bit. This
+    // pins the one-bin contract — no rung bookkeeping, no extra rounding, no
+    // reordered arithmetic leaks into the default path.
     for (name, golden) in [
         ("Sedov", 0x526f3b07d19d9446u64),
         ("Noh", 0x311796faaaadac32),
@@ -231,6 +231,31 @@ fn one_timestep_bin_is_bit_identical_to_the_global_goldens() {
             digest, golden,
             "{name}: with_timestep_bins(1) digest 0x{digest:016x} diverged from the global-scheme \
              golden 0x{golden:016x} — a single bin must leave the default path untouched"
+        );
+    }
+}
+
+#[test]
+fn periodic_and_threaded_scenarios_are_bit_identical_to_global_dt_goldens() {
+    // Digests captured with the two-driver propagator (separate global-dt
+    // and binned step bodies), same recipe as the open-box goldens above:
+    // 3 steps at seed 7, default reorder interval. KH, Turb and Gresho pin
+    // the periodic boxes (Turb also the stirring driver) at n = 400; Evr at
+    // n = 3 000 pins the cell-list builder and the threaded kernel paths.
+    // The libm caveat of the open-box goldens applies here too.
+    for (name, n, golden) in [
+        ("KH", 400, 0x174434f107814fb0u64),
+        ("Turb", 400, 0x92424d17a61e4824),
+        ("Gresho", 400, 0x5c5751429f4ca435),
+        ("Evr", 3_000, 0x1826fd9b0f41ff43),
+    ] {
+        let mut sim = Simulation::from_scenario(scenario::get(name).unwrap(), n, 7);
+        sim.run(3);
+        let digest = state_digest(&sim);
+        assert_eq!(
+            digest, golden,
+            "{name} (n = {n}): state digest 0x{digest:016x} no longer matches the global-dt \
+             golden 0x{golden:016x}"
         );
     }
 }

@@ -383,3 +383,56 @@ fn four_rank_run_matches_single_rank_per_particle_on_every_scenario() {
         assert_eq!(matched, rp.len(), "{name}: shards do not cover the global set");
     }
 }
+
+/// FNV-1a over the owned state of every shard, visited in global-id order
+/// (the same twelve fields as the single-rank `state_digest` in
+/// `tests/conservation.rs`), plus the final simulation time.
+fn shard_digest(shards: &[energy_aware_sim::sphsim::distributed::ShardResult]) -> u64 {
+    let n: usize = shards.iter().map(|s| s.ids.len()).sum();
+    let mut slot_of = vec![(usize::MAX, 0usize); n];
+    for (k, shard) in shards.iter().enumerate() {
+        for (slot, &id) in shard.ids.iter().enumerate() {
+            slot_of[id as usize] = (k, slot);
+        }
+    }
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mix = |h: &mut u64, v: f64| {
+        *h ^= v.to_bits();
+        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    };
+    for &(k, i) in &slot_of {
+        let p = &shards[k].particles;
+        for v in [
+            p.x[i], p.y[i], p.z[i], p.vx[i], p.vy[i], p.vz[i], p.rho[i], p.u[i], p.p[i], p.du[i], p.h[i], p.alpha[i],
+        ] {
+            mix(&mut h, v);
+        }
+    }
+    mix(&mut h, shards[0].summaries.last().expect("at least one step").time);
+    h
+}
+
+#[test]
+fn global_dt_shards_are_bit_identical_to_goldens() {
+    // Digests captured with the two-driver distributed propagator (separate
+    // global-dt and binned step bodies): 4 global-dt steps at n = 3 000,
+    // seed 7, over the shm transport. The 1e-10 rank-agreement gates above
+    // would let a reordered sum pass; these pin every owned bit per rank
+    // count. The libm caveat of `tests/conservation.rs` applies here too.
+    for (name, ranks, golden) in [
+        ("Evr", 2, 0x2ceea040861fb840u64),
+        ("Evr", 4, 0xd6f35d7efd6a566f),
+        ("Sedov", 2, 0xdb768406d3aa5f9c),
+        ("Sedov", 4, 0x16e01ed83bc763bd),
+        ("Turb", 2, 0xe3bcfe937b327433),
+        ("Turb", 4, 0x3750d2761b36827c),
+    ] {
+        let shards = run_distributed(scenario::get(name).unwrap(), ranks, 3_000, 7, 4);
+        let digest = shard_digest(&shards);
+        assert_eq!(
+            digest, golden,
+            "{name} on {ranks} ranks: owned-state digest 0x{digest:016x} no longer matches the \
+             global-dt golden 0x{golden:016x}"
+        );
+    }
+}

@@ -121,6 +121,27 @@ impl CellGrid {
         }
     }
 
+    /// Whether [`CellGrid::rebuild`] would accept `particles`: the set is
+    /// non-empty, its smoothing lengths are positive and `h_max / h_min` is at
+    /// most [`POLYDISPERSITY_LIMIT`]. One pass over `h`, no binning.
+    pub fn accepts(particles: &ParticleSet) -> bool {
+        Self::accepted_h_range(particles).is_some()
+    }
+
+    /// `(h_min, h_max)` of a set the grid accepts, `None` for one it declines.
+    fn accepted_h_range(particles: &ParticleSet) -> Option<(f64, f64)> {
+        if particles.is_empty() {
+            return None;
+        }
+        let mut h_min = f64::INFINITY;
+        let mut h_max = 0.0f64;
+        for &h in &particles.h {
+            h_min = h_min.min(h);
+            h_max = h_max.max(h);
+        }
+        (h_min > 0.0 && h_min.is_finite() && h_max / h_min <= POLYDISPERSITY_LIMIT).then_some((h_min, h_max))
+    }
+
     /// Re-bin the particle set into the grid. Returns `false` — leaving the
     /// grid unusable and the caller on the octree path — when the set is
     /// empty or the smoothing lengths are too polydisperse for a uniform
@@ -133,18 +154,9 @@ impl CellGrid {
     /// the octree query asserts per particle).
     pub fn rebuild(&mut self, particles: &ParticleSet) -> bool {
         let n = particles.len();
-        if n == 0 {
+        let Some((h_min, h_max)) = Self::accepted_h_range(particles) else {
             return false;
-        }
-        let mut h_min = f64::INFINITY;
-        let mut h_max = 0.0f64;
-        for &h in &particles.h {
-            h_min = h_min.min(h);
-            h_max = h_max.max(h);
-        }
-        if h_min <= 0.0 || !h_min.is_finite() || h_max / h_min > POLYDISPERSITY_LIMIT {
-            return false;
-        }
+        };
         self.uniform_h = h_min == h_max;
         let side_min = KERNEL_SUPPORT * h_max * SIDE_MARGIN;
         let (lo, extent, periodic) = match particles.boundary {

@@ -51,8 +51,9 @@ use crate::physics::momentum::compute_momentum_energy_rows;
 use crate::physics::timestep::{courant_timestep_prefix, update_quantities, TimestepBins};
 use crate::physics::turbulence::TurbulenceDriver;
 use crate::propagator::{
-    default_turbulence_driver, HealthBaseline, StepSummary, DEFAULT_INITIAL_DT, DEFAULT_MAX_DT, DEFAULT_SOFTENING,
-    DEFAULT_TARGET_NEIGHBORS, DT_BINS_HISTOGRAM_BOUNDS, MAX_LEAF_SIZE, NEIGHBOR_HISTOGRAM_BOUNDS,
+    default_turbulence_driver, first_non_finite_written, HealthBaseline, StepSummary, DEFAULT_INITIAL_DT,
+    DEFAULT_MAX_DT, DEFAULT_SOFTENING, DEFAULT_TARGET_NEIGHBORS, DT_BINS_HISTOGRAM_BOUNDS, MAX_LEAF_SIZE,
+    NEIGHBOR_HISTOGRAM_BOUNDS,
 };
 use crate::scenario::ScenarioRef;
 use crate::stages::SphStage;
@@ -687,42 +688,25 @@ impl DistributedSimulation {
     }
 
     /// Fail loudly — naming the offending stage — if a stage left a non-finite
-    /// value in this rank's *owned* state (the mirror of the single-rank
-    /// propagator's guard; ghost slots are checked by their owners, and a NaN
-    /// caught here is caught before the next exchange ships it to a peer).
-    fn assert_finite_owned(&self, stage: SphStage) {
-        let p = &self.particles;
-        for i in 0..self.n_owned {
-            let finite = p.x[i].is_finite()
-                && p.y[i].is_finite()
-                && p.z[i].is_finite()
-                && p.vx[i].is_finite()
-                && p.vy[i].is_finite()
-                && p.vz[i].is_finite()
-                && p.h[i].is_finite()
-                && p.rho[i].is_finite()
-                && p.u[i].is_finite()
-                && p.p[i].is_finite()
-                && p.c[i].is_finite()
-                && p.omega[i].is_finite()
-                && p.div_v[i].is_finite()
-                && p.curl_v[i].is_finite()
-                && p.alpha[i].is_finite()
-                && p.ax[i].is_finite()
-                && p.ay[i].is_finite()
-                && p.az[i].is_finite()
-                && p.du[i].is_finite();
-            assert!(
-                finite,
-                "stage {} produced a non-finite quantity for owned particle {i} (global id {}) \
-                 on rank {} at step {} of scenario {}",
-                stage.label(),
-                self.ids[i],
-                self.comm.rank(),
-                self.step,
-                self.scenario.short_name(),
-            );
-        }
+    /// value in the owned rows it wrote: its written lanes over `rows`, plus
+    /// the position of each of the first `drifted` slots (the mirror of the
+    /// single-rank propagator's guard; ghost slots are checked by their
+    /// owners, and a NaN caught here is caught before the next exchange ships
+    /// it to a peer).
+    fn assert_finite_owned(&self, stage: SphStage, rows: &[u32], drifted: usize) {
+        let Some((i, lane)) = first_non_finite_written(&self.particles, stage, rows, drifted) else {
+            return;
+        };
+        panic!(
+            "stage {} produced a non-finite quantity ({}) for owned particle {i} (global id {}) \
+             on rank {} at step {} of scenario {}",
+            stage.label(),
+            lane.name(),
+            self.ids[i],
+            self.comm.rank(),
+            self.step,
+            self.scenario.short_name(),
+        );
     }
 
     fn push_msg(&mut self, msg: &ParticleMsg) {
@@ -897,7 +881,10 @@ impl DistributedSimulation {
     ///
     /// The full `DomainDecompAndSync` runs every substep — frozen particles
     /// drift too, so the ghost layer is re-shipped fresh (now carrying the
-    /// owners' rungs) and migration stays live mid-cycle. The pair stages
+    /// owners' rungs) and migration stays live mid-cycle. Its local octree
+    /// is built only when the octree neighbour builder will walk it (gravity
+    /// walks a gathered global tree instead), and each finite guard checks
+    /// its stage's lanes over the owned rows it wrote. The pair stages
     /// compute the *active* owned rows only (every owned row at a cycle
     /// start); ghost rows are never computed, because the mid-step refresh
     /// overwrites every ghost field the momentum kernel reads. Mid-cycle the
@@ -933,7 +920,9 @@ impl DistributedSimulation {
 
         Self::instrument(&hooks, &tel, rank_tag, SphStage::DomainDecompAndSync.label(), || {
             self.sync();
-            self.workspace.rebuild_tree(&self.particles, MAX_LEAF_SIZE);
+            // Gravity walks a gathered global tree, so only the octree
+            // neighbour builder reads this local one.
+            self.workspace.refresh_tree(&self.particles, false, MAX_LEAF_SIZE);
         });
 
         // Active owned rows of this substep: everyone at a cycle start
@@ -959,7 +948,13 @@ impl DistributedSimulation {
                 }
             });
         }
-        self.assert_finite_owned(SphStage::FindNeighbors);
+        // The finite guards check what each stage wrote: its lanes over the
+        // active owned rows. The one all-rows check runs here at a cycle
+        // start (every owned row is active), covering the incoming state;
+        // mid-cycle, FindNeighbors writes no floating-point lane.
+        if sync_start {
+            self.assert_finite_owned(SphStage::FindNeighbors, &active, 0);
+        }
 
         // Split the active rows for the overlapped exchange (exported first,
         // the rest while the wire is busy) and for the momentum completion
@@ -1056,8 +1051,17 @@ impl DistributedSimulation {
                 update_av_switches_binned(p, b, last_dt, rows, scratch)
             });
         }
-        self.assert_finite_owned(SphStage::XMass);
-        self.assert_finite_owned(SphStage::AVSwitches);
+        // Both halves of the active rows are done: check what each of the
+        // five stages wrote.
+        for stage in [
+            SphStage::XMass,
+            SphStage::NormalizationGradh,
+            SphStage::EquationOfState,
+            SphStage::IADVelocityDivCurl,
+            SphStage::AVSwitches,
+        ] {
+            self.assert_finite_owned(stage, &active, 0);
+        }
 
         {
             let comm = &self.comm;
@@ -1085,7 +1089,7 @@ impl DistributedSimulation {
                 }
             });
         }
-        self.assert_finite_owned(SphStage::MomentumEnergy);
+        self.assert_finite_owned(SphStage::MomentumEnergy, &active, 0);
 
         let mut e_pot = 0.0;
         if self.scenario.has_gravity() {
@@ -1097,7 +1101,7 @@ impl DistributedSimulation {
             e_pot = Self::instrument(&hooks, &tel, rank_tag, SphStage::Gravity.label(), || {
                 add_global_gravity_rows(comm, particles, n_owned, softening, rows)
             });
-            self.assert_finite_owned(SphStage::Gravity);
+            self.assert_finite_owned(SphStage::Gravity, &active, 0);
         }
 
         if let Some(driver) = &self.driver {
@@ -1106,7 +1110,7 @@ impl DistributedSimulation {
             Self::instrument(&hooks, &tel, rank_tag, SphStage::Turbulence.label(), || {
                 driver.apply_rows(&mut self.particles, time, rows)
             });
-            self.assert_finite_owned(SphStage::Turbulence);
+            self.assert_finite_owned(SphStage::Turbulence, &active, 0);
         }
 
         let dt = {
@@ -1163,7 +1167,9 @@ impl DistributedSimulation {
         Self::instrument(&hooks, &tel, rank_tag, SphStage::UpdateQuantities.label(), || {
             update_quantities(&mut self.particles, &self.timestep_bins)
         });
-        self.assert_finite_owned(SphStage::UpdateQuantities);
+        // The kick wrote the active rows; the drift moved every slot, and
+        // the owned ones are this rank's to check.
+        self.assert_finite_owned(SphStage::UpdateQuantities, &active, self.n_owned);
 
         if let Some(local) = local_energy {
             self.cycle_energy = self.comm.allreduce_sum(local);
@@ -1868,6 +1874,18 @@ mod tests {
         let mut ids: Vec<u32> = shard.ids.clone();
         ids.sort_unstable();
         assert!(ids.iter().enumerate().all(|(k, &id)| id as usize == k));
+    }
+
+    #[test]
+    #[should_panic(expected = "stage FindNeighbors produced a non-finite quantity (u) for owned particle")]
+    fn one_rank_shard_corrupted_state_panics_with_the_offending_stage_name() {
+        // One rank only: a panicking rank still hangs its peers.
+        let scenario = scenario::get("Turb").unwrap();
+        let mut particles = scenario.initial_conditions(216, 4);
+        particles.u[0] = f64::NAN;
+        let comm = CommWorld::create(1).pop().expect("one rank");
+        let mut sim = DistributedSimulation::new(comm, scenario, particles);
+        sim.step();
     }
 
     #[test]

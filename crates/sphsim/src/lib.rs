@@ -55,7 +55,7 @@ pub use gpu_offload::{
     run_campaign, run_campaign_governed, run_campaign_with_observers, CampaignConfig, CampaignResult, MAIN_LOOP_LABEL,
 };
 pub use octree::Octree;
-pub use particle::ParticleSet;
+pub use particle::{Lane, ParticleSet};
 pub use physics::neighbors::NeighborLists;
 pub use physics::timestep::TimestepBins;
 pub use propagator::{Simulation, StepSummary, DEFAULT_REORDER_INTERVAL};

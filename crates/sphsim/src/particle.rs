@@ -367,6 +367,157 @@ impl ParticleSet {
         self.neighbor_count.truncate(n);
         self.rung.truncate(n);
     }
+
+    /// The values of one evolved lane.
+    pub fn lane(&self, lane: Lane) -> &[f64] {
+        match lane {
+            Lane::X => &self.x,
+            Lane::Y => &self.y,
+            Lane::Z => &self.z,
+            Lane::Vx => &self.vx,
+            Lane::Vy => &self.vy,
+            Lane::Vz => &self.vz,
+            Lane::H => &self.h,
+            Lane::Rho => &self.rho,
+            Lane::U => &self.u,
+            Lane::P => &self.p,
+            Lane::C => &self.c,
+            Lane::Omega => &self.omega,
+            Lane::DivV => &self.div_v,
+            Lane::CurlV => &self.curl_v,
+            Lane::Alpha => &self.alpha,
+            Lane::Ax => &self.ax,
+            Lane::Ay => &self.ay,
+            Lane::Az => &self.az,
+            Lane::Du => &self.du,
+        }
+    }
+
+    /// The first non-finite value of `lanes` over `rows`, as `(row, lane)`:
+    /// the earliest such row in `rows` order, and within it the first of
+    /// `lanes`. `None` when every value is finite. Nothing outside `rows` and
+    /// `lanes` is reported — the propagators pass what a stage wrote.
+    ///
+    /// When `rows` covers at least half the set (a cycle start checks every
+    /// row), whole lanes are scanned first: contiguous and vectorised, that
+    /// settles the common all-finite case for less than gathering the rows
+    /// costs, and the rows are searched only when some value is not finite.
+    pub fn first_non_finite(&self, rows: &[u32], lanes: &[Lane]) -> Option<(usize, Lane)> {
+        if 2 * rows.len() >= self.len() && self.all_finite(self.len(), lanes) {
+            return None;
+        }
+        self.first_non_finite_by(lanes, |values| {
+            rows.iter().position(|&i| !values[i as usize].is_finite())
+        })
+        .map(|(k, lane)| (rows[k] as usize, lane))
+    }
+
+    /// [`ParticleSet::first_non_finite`] over the first `n` rows.
+    pub fn first_non_finite_prefix(&self, n: usize, lanes: &[Lane]) -> Option<(usize, Lane)> {
+        if self.all_finite(n, lanes) {
+            return None;
+        }
+        self.first_non_finite_by(lanes, |values| values[..n].iter().position(|v| !v.is_finite()))
+    }
+
+    /// Whether `lanes` are finite over the first `n` rows (no early exit, so
+    /// each lane's scan vectorises).
+    fn all_finite(&self, n: usize, lanes: &[Lane]) -> bool {
+        lanes
+            .iter()
+            .all(|&lane| self.lane(lane)[..n].iter().fold(true, |finite, v| finite & v.is_finite()))
+    }
+
+    /// The smallest `(first_bad(lane), lane)` over `lanes`, ties to the
+    /// earlier lane.
+    fn first_non_finite_by(
+        &self,
+        lanes: &[Lane],
+        first_bad: impl Fn(&[f64]) -> Option<usize>,
+    ) -> Option<(usize, Lane)> {
+        lanes
+            .iter()
+            .filter_map(|&lane| first_bad(self.lane(lane)).map(|k| (k, lane)))
+            .min_by_key(|&(k, _)| k)
+    }
+}
+
+/// An evolved `f64` lane of a [`ParticleSet`] — what the propagators' finite
+/// guards check (mass is set once and never evolved).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Lane {
+    X,
+    Y,
+    Z,
+    Vx,
+    Vy,
+    Vz,
+    H,
+    Rho,
+    U,
+    P,
+    C,
+    Omega,
+    DivV,
+    CurlV,
+    Alpha,
+    Ax,
+    Ay,
+    Az,
+    Du,
+}
+
+impl Lane {
+    /// Every evolved lane, in storage order.
+    pub const ALL: [Lane; 19] = [
+        Lane::X,
+        Lane::Y,
+        Lane::Z,
+        Lane::Vx,
+        Lane::Vy,
+        Lane::Vz,
+        Lane::H,
+        Lane::Rho,
+        Lane::U,
+        Lane::P,
+        Lane::C,
+        Lane::Omega,
+        Lane::DivV,
+        Lane::CurlV,
+        Lane::Alpha,
+        Lane::Ax,
+        Lane::Ay,
+        Lane::Az,
+        Lane::Du,
+    ];
+
+    /// The position lanes — what a drift writes.
+    pub const POSITION: [Lane; 3] = [Lane::X, Lane::Y, Lane::Z];
+
+    /// The field's name in [`ParticleSet`].
+    pub fn name(self) -> &'static str {
+        match self {
+            Lane::X => "x",
+            Lane::Y => "y",
+            Lane::Z => "z",
+            Lane::Vx => "vx",
+            Lane::Vy => "vy",
+            Lane::Vz => "vz",
+            Lane::H => "h",
+            Lane::Rho => "rho",
+            Lane::U => "u",
+            Lane::P => "p",
+            Lane::C => "c",
+            Lane::Omega => "omega",
+            Lane::DivV => "div_v",
+            Lane::CurlV => "curl_v",
+            Lane::Alpha => "alpha",
+            Lane::Ax => "ax",
+            Lane::Ay => "ay",
+            Lane::Az => "az",
+            Lane::Du => "du",
+        }
+    }
 }
 
 #[cfg(test)]
@@ -494,6 +645,44 @@ mod tests {
         // 3 particles × (20 f64 + 1 u32 + 1 u8).
         assert_eq!(p.memory_bytes(), 3 * (20 * 8 + 4 + 1));
         assert_eq!(ParticleSet::default().memory_bytes(), 0);
+    }
+
+    #[test]
+    fn first_non_finite_reports_the_first_row_and_lane_inside_the_given_rows() {
+        let mut p = sample_set();
+        p.push(2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.1, 1.0);
+        let all = [0, 1, 2, 3];
+        assert_eq!(p.first_non_finite(&all, &Lane::ALL), None);
+        // Row 1 carries two bad lanes: the earlier of the given lanes is named.
+        p.du[1] = f64::NAN;
+        p.rho[1] = f64::INFINITY;
+        p.vy[3] = f64::NEG_INFINITY;
+        assert_eq!(p.first_non_finite(&all, &Lane::ALL), Some((1, Lane::Rho)));
+        assert_eq!(p.first_non_finite(&all, &[Lane::Du, Lane::Rho]), Some((1, Lane::Du)));
+        // Rows come in the given order, not storage order.
+        assert_eq!(p.first_non_finite(&[3, 1], &Lane::ALL), Some((3, Lane::Vy)));
+        assert_eq!(p.first_non_finite(&[0, 2, 3], &Lane::ALL), Some((3, Lane::Vy)));
+        // Rows and lanes outside the given sets are never reported.
+        assert_eq!(p.first_non_finite(&[0, 2], &Lane::ALL), None);
+        assert_eq!(p.first_non_finite(&all, &[Lane::X, Lane::U]), None);
+        assert_eq!(p.first_non_finite(&[], &Lane::ALL), None);
+        // Mass is not an evolved lane.
+        p.m[0] = f64::NAN;
+        assert_eq!(p.first_non_finite(&[0], &Lane::ALL), None);
+        assert_eq!(Lane::Vy.name(), "vy");
+        assert_eq!(p.lane(Lane::CurlV), &p.curl_v[..]);
+    }
+
+    #[test]
+    fn first_non_finite_prefix_stops_at_the_prefix() {
+        let mut p = sample_set();
+        p.u[0] = f64::NAN;
+        assert_eq!(p.first_non_finite_prefix(3, &Lane::POSITION), None);
+        p.z[2] = f64::NAN;
+        p.y[1] = f64::INFINITY;
+        assert_eq!(p.first_non_finite_prefix(3, &Lane::POSITION), Some((1, Lane::Y)));
+        assert_eq!(p.first_non_finite_prefix(1, &Lane::POSITION), None);
+        assert_eq!(p.first_non_finite_prefix(3, &Lane::ALL), Some((0, Lane::U)));
     }
 
     #[test]

@@ -170,8 +170,9 @@ pub(crate) fn kick(particles: &mut ParticleSet, acc: &[(f64, f64, f64)], slot: i
 ///
 /// `tree` must have been built over the current positions and masses of
 /// `particles`: the leaf terms read the copy the tree took when it was built,
-/// so a tree over other positions gives other forces. The propagator rebuilds
-/// it every substep before this stage.
+/// so a tree over other positions gives other forces. The propagator's
+/// `DomainDecompAndSync` rebuilds it on every substep of a self-gravitating
+/// run, before this stage.
 pub fn add_gravity_rows(particles: &mut ParticleSet, tree: &Octree, theta: f64, softening: f64, rows: &[u32]) -> f64 {
     let slot = |k: usize| rows[k] as usize;
     let (acc, e_pot) = Sources::of(particles).walk(tree, theta, softening, rows.len(), slot);

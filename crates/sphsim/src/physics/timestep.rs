@@ -340,64 +340,61 @@ impl TimestepBins {
 pub fn update_quantities(particles: &mut ParticleSet, bins: &TimestepBins) {
     let n = particles.len();
     let dt_sub = bins.dt_sub();
+    // Split borrows of the SoA lanes: each pass updates one lane in place
+    // while reading the others, so no lane is copied.
+    let ParticleSet {
+        x,
+        y,
+        z,
+        vx,
+        vy,
+        vz,
+        u,
+        ax,
+        ay,
+        az,
+        du,
+        rung,
+        ..
+    } = particles;
     // Per-particle kick dt: the rung dt for active particles, 0 for frozen
     // ones (the kick loops skip zeros, leaving v and u untouched bit-wise).
-    let kick: Vec<f64> = particles.rung[..n]
-        .iter()
-        .map(|&k| if bins.is_active(k) { bins.rung_dt(k) } else { 0.0 })
-        .collect();
-    let ax = particles.ax.clone();
-    let ay = particles.ay.clone();
-    let az = particles.az.clone();
-    let du = particles.du.clone();
+    let kick = |i: usize| {
+        let k = rung[i];
+        if bins.is_active(k) {
+            bins.rung_dt(k)
+        } else {
+            0.0
+        }
+    };
 
-    parallel_chunks_mut(&mut particles.vx[..n], |s, c| {
-        for (k, v) in c.iter_mut().enumerate() {
-            if kick[s + k] > 0.0 {
-                *v += ax[s + k] * kick[s + k];
+    for (v, a) in [(&mut *vx, &*ax), (&mut *vy, &*ay), (&mut *vz, &*az)] {
+        parallel_chunks_mut(&mut v[..n], |s, c| {
+            for (k, v) in c.iter_mut().enumerate() {
+                let dt = kick(s + k);
+                if dt > 0.0 {
+                    *v += a[s + k] * dt;
+                }
             }
-        }
-    });
-    parallel_chunks_mut(&mut particles.vy[..n], |s, c| {
-        for (k, v) in c.iter_mut().enumerate() {
-            if kick[s + k] > 0.0 {
-                *v += ay[s + k] * kick[s + k];
-            }
-        }
-    });
-    parallel_chunks_mut(&mut particles.vz[..n], |s, c| {
-        for (k, v) in c.iter_mut().enumerate() {
-            if kick[s + k] > 0.0 {
-                *v += az[s + k] * kick[s + k];
-            }
-        }
-    });
-    parallel_chunks_mut(&mut particles.u[..n], |s, c| {
+        });
+    }
+    parallel_chunks_mut(&mut u[..n], |s, c| {
         for (k, u) in c.iter_mut().enumerate() {
-            if kick[s + k] > 0.0 {
-                *u = (*u + du[s + k] * kick[s + k]).max(1e-12);
+            let dt = kick(s + k);
+            if dt > 0.0 {
+                *u = (*u + du[s + k] * dt).max(1e-12);
             }
         }
     });
 
-    let vx = particles.vx.clone();
-    let vy = particles.vy.clone();
-    let vz = particles.vz.clone();
-    parallel_chunks_mut(&mut particles.x[..n], |s, c| {
-        for (k, x) in c.iter_mut().enumerate() {
-            *x += vx[s + k] * dt_sub;
-        }
-    });
-    parallel_chunks_mut(&mut particles.y[..n], |s, c| {
-        for (k, y) in c.iter_mut().enumerate() {
-            *y += vy[s + k] * dt_sub;
-        }
-    });
-    parallel_chunks_mut(&mut particles.z[..n], |s, c| {
-        for (k, z) in c.iter_mut().enumerate() {
-            *z += vz[s + k] * dt_sub;
-        }
-    });
+    // Drift with the kicked velocities.
+    for (r, v) in [(x, &*vx), (y, &*vy), (z, &*vz)] {
+        parallel_chunks_mut(&mut r[..n], |s, c| {
+            for (k, r) in c.iter_mut().enumerate() {
+                *r += v[s + k] * dt_sub;
+            }
+        });
+    }
 }
 
 #[cfg(test)]

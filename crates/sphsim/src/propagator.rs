@@ -7,7 +7,7 @@
 //! billion-particle campaigns use the workload model in [`crate::gpu_offload`].
 
 use crate::observables::neighbor_count_stats;
-use crate::particle::ParticleSet;
+use crate::particle::{Lane, ParticleSet};
 use crate::physics::avswitches::update_av_switches_binned;
 use crate::physics::density::{compute_density_rows, update_smoothing_length_rows};
 use crate::physics::eos::apply_eos_rows;
@@ -56,6 +56,39 @@ pub(crate) const DEFAULT_INITIAL_DT: f64 = 1e-3;
 /// The stirring driver used by both propagators for stirred scenarios.
 pub(crate) fn default_turbulence_driver() -> TurbulenceDriver {
     TurbulenceDriver::new(1.0, 0.8, 42)
+}
+
+/// The lanes `stage` writes, which its finite guard checks over the rows it
+/// wrote. FindNeighbors writes none, but the one all-rows check after it at a
+/// cycle start covers the incoming state, so it (like any stage not listed)
+/// names every lane. UpdateQuantities' kick writes velocities and `u`; its
+/// drift's positions are checked over every row on top.
+pub(crate) fn written_lanes(stage: SphStage) -> &'static [Lane] {
+    use Lane::*;
+    match stage {
+        SphStage::XMass => &[Rho, H],
+        SphStage::NormalizationGradh => &[Omega],
+        SphStage::EquationOfState => &[P, C],
+        SphStage::IADVelocityDivCurl => &[DivV, CurlV],
+        SphStage::AVSwitches => &[Alpha],
+        SphStage::MomentumEnergy => &[Ax, Ay, Az, Du],
+        SphStage::Gravity | SphStage::Turbulence => &[Ax, Ay, Az],
+        SphStage::UpdateQuantities => &[Vx, Vy, Vz, U],
+        _ => &Lane::ALL,
+    }
+}
+
+/// The first non-finite value `stage` left in `p`: its [`written_lanes`] over
+/// `rows`, then the positions of the first `drifted` rows. Both propagators'
+/// finite guards run this.
+pub(crate) fn first_non_finite_written(
+    p: &ParticleSet,
+    stage: SphStage,
+    rows: &[u32],
+    drifted: usize,
+) -> Option<(usize, Lane)> {
+    p.first_non_finite(rows, written_lanes(stage))
+        .or_else(|| p.first_non_finite_prefix(drifted, &Lane::POSITION))
 }
 
 /// Summary of one completed timestep.
@@ -335,52 +368,35 @@ impl Simulation {
     }
 
     /// Fail loudly — naming the offending stage — if a stage left a non-finite
-    /// value in the particle state. A bare `NaN` would otherwise surface many
-    /// stages later as an opaque panic (or, worse, as silently wrong energy
-    /// attribution in the measurement pipeline).
-    fn assert_finite_after(&self, stage: SphStage) {
+    /// value in what it wrote: its [`written_lanes`] over `rows`, plus the
+    /// position of each of the first `drifted` particles. A bare `NaN` would
+    /// otherwise surface many stages later as an opaque panic (or, worse, as
+    /// silently wrong energy attribution in the measurement pipeline).
+    fn assert_finite_after(&self, stage: SphStage, rows: &[u32], drifted: usize) {
+        let Some((i, lane)) = first_non_finite_written(&self.particles, stage, rows, drifted) else {
+            return;
+        };
         let p = &self.particles;
-        for i in 0..p.len() {
-            let finite = p.x[i].is_finite()
-                && p.y[i].is_finite()
-                && p.z[i].is_finite()
-                && p.vx[i].is_finite()
-                && p.vy[i].is_finite()
-                && p.vz[i].is_finite()
-                && p.h[i].is_finite()
-                && p.rho[i].is_finite()
-                && p.u[i].is_finite()
-                && p.p[i].is_finite()
-                && p.c[i].is_finite()
-                && p.omega[i].is_finite()
-                && p.div_v[i].is_finite()
-                && p.curl_v[i].is_finite()
-                && p.alpha[i].is_finite()
-                && p.ax[i].is_finite()
-                && p.ay[i].is_finite()
-                && p.az[i].is_finite()
-                && p.du[i].is_finite();
-            assert!(
-                finite,
-                "stage {} produced a non-finite quantity for particle {i} at step {} of scenario {} \
-                 (pos=({}, {}, {}), v=({}, {}, {}), a=({}, {}, {}), rho={}, u={}, du={})",
-                stage.label(),
-                self.step,
-                self.scenario.short_name(),
-                p.x[i],
-                p.y[i],
-                p.z[i],
-                p.vx[i],
-                p.vy[i],
-                p.vz[i],
-                p.ax[i],
-                p.ay[i],
-                p.az[i],
-                p.rho[i],
-                p.u[i],
-                p.du[i],
-            );
-        }
+        panic!(
+            "stage {} produced a non-finite quantity ({}) for particle {i} at step {} of scenario {} \
+             (pos=({}, {}, {}), v=({}, {}, {}), a=({}, {}, {}), rho={}, u={}, du={})",
+            stage.label(),
+            lane.name(),
+            self.step,
+            self.scenario.short_name(),
+            p.x[i],
+            p.y[i],
+            p.z[i],
+            p.vx[i],
+            p.vy[i],
+            p.vz[i],
+            p.ax[i],
+            p.ay[i],
+            p.az[i],
+            p.rho[i],
+            p.u[i],
+            p.du[i],
+        );
     }
 
     /// Execute one timestep through the full named pipeline.
@@ -394,11 +410,18 @@ impl Simulation {
     /// rows) and the deepest rung fixes the substep `dt_sub = dt_base /
     /// 2^k_deep`, so the summary's `dt` is the substep size and a full cycle
     /// of `2^k_deep` calls advances time by `dt_base`. *Mid-cycle* only the
-    /// rows whose rung is active are rebuilt (subset CSR over the fresh tree)
-    /// and re-accelerated; frozen particles keep their accelerations and just
-    /// drift. With one bin every call is a cycle start whose `dt_base` is the
-    /// Courant minimum itself, and the rung bookkeeping (assignment, limiter,
-    /// per-rung AV-switch split, bin telemetry) is skipped: every rung is 0.
+    /// rows whose rung is active are rebuilt (subset CSR) and re-accelerated;
+    /// frozen particles keep their accelerations and just drift. With one
+    /// bin every call is a cycle start whose `dt_base` is the Courant minimum
+    /// itself, and the rung bookkeeping (assignment, limiter, per-rung
+    /// AV-switch split, bin telemetry) is skipped: every rung is 0.
+    ///
+    /// A substep pays for the rows and structures it uses: each finite guard
+    /// checks what its stage wrote (the stage's lanes over the active rows,
+    /// the drift's positions over every row, and one all-rows check after
+    /// the cycle-start `FindNeighbors`), and the octree is built only when
+    /// Gravity or the octree neighbour builder walks it
+    /// ([`StepWorkspace::domain_sync`]).
     pub fn step(&mut self) -> StepSummary {
         let mut active = std::mem::take(&mut self.active_rows);
         let mut rung_rows = std::mem::take(&mut self.rung_rows);
@@ -418,9 +441,11 @@ impl Simulation {
         // `reorder_interval` cycles sort the particle storage into Morton
         // order (so octree leaves and CSR neighbour rows cover contiguous
         // memory), then (re)build the global tree into the workspace's node
-        // arena — the single-rank equivalent of domain decomposition + halo
-        // sync. The interval decision is made here, before any Morton-key
-        // work, so non-reorder steps skip key generation entirely. Reorders
+        // arena when a stage of this substep walks it (Gravity, or the octree
+        // neighbour builder) — the single-rank equivalent of domain
+        // decomposition + halo sync. The interval decision is made here,
+        // before any Morton-key work, so non-reorder steps skip key
+        // generation entirely. Reorders
         // are paced by *cycles*, not substeps (a deep cycle would otherwise
         // re-sort 2^k_deep times per dt_base), and happen only at a cycle
         // start — mid-cycle the frozen particles' CSR rows must stay aligned
@@ -433,8 +458,9 @@ impl Simulation {
             let ws = &mut self.workspace;
             let particles = &mut self.particles;
             let origin = &mut self.origin;
+            let gravity = self.scenario.has_gravity();
             Self::instrument(&hooks, &tel, SphStage::DomainDecompAndSync.label(), || {
-                ws.domain_sync(particles, origin, reorder_due, MAX_LEAF_SIZE);
+                ws.domain_sync(particles, origin, reorder_due, gravity, MAX_LEAF_SIZE);
             });
         }
         if reorder_due {
@@ -465,29 +491,35 @@ impl Simulation {
                 }
             });
         }
-        self.assert_finite_after(SphStage::FindNeighbors);
+        // The finite guards check what each stage wrote: its lanes over the
+        // active rows. The one all-rows check runs here at a cycle start
+        // (every row is active), covering the incoming state; mid-cycle,
+        // FindNeighbors writes no floating-point lane.
+        if sync {
+            self.assert_finite_after(SphStage::FindNeighbors, &active, 0);
+        }
         let neighbors = self.workspace.neighbors();
 
         Self::instrument(&hooks, &tel, SphStage::XMass.label(), || {
             compute_density_rows(&mut self.particles, neighbors, &active);
             update_smoothing_length_rows(&mut self.particles, self.target_neighbors, &active);
         });
-        self.assert_finite_after(SphStage::XMass);
+        self.assert_finite_after(SphStage::XMass, &active, 0);
 
         Self::instrument(&hooks, &tel, SphStage::NormalizationGradh.label(), || {
             compute_gradh_rows(&mut self.particles, neighbors, &active)
         });
-        self.assert_finite_after(SphStage::NormalizationGradh);
+        self.assert_finite_after(SphStage::NormalizationGradh, &active, 0);
 
         Self::instrument(&hooks, &tel, SphStage::EquationOfState.label(), || {
             apply_eos_rows(&mut self.particles, &active)
         });
-        self.assert_finite_after(SphStage::EquationOfState);
+        self.assert_finite_after(SphStage::EquationOfState, &active, 0);
 
         Self::instrument(&hooks, &tel, SphStage::IADVelocityDivCurl.label(), || {
             compute_div_curl_rows(&mut self.particles, neighbors, &active)
         });
-        self.assert_finite_after(SphStage::IADVelocityDivCurl);
+        self.assert_finite_after(SphStage::IADVelocityDivCurl, &active, 0);
 
         // The AV switch relaxes alpha over the time since the particle's last
         // kick — its own rung dt, not the substep dt. Before the first plan
@@ -502,12 +534,12 @@ impl Simulation {
                 update_av_switches_binned(particles, b, last_dt, rows, rung_scratch)
             });
         }
-        self.assert_finite_after(SphStage::AVSwitches);
+        self.assert_finite_after(SphStage::AVSwitches, &active, 0);
 
         Self::instrument(&hooks, &tel, SphStage::MomentumEnergy.label(), || {
             compute_momentum_energy_rows(&mut self.particles, neighbors, &active)
         });
-        self.assert_finite_after(SphStage::MomentumEnergy);
+        self.assert_finite_after(SphStage::MomentumEnergy, &active, 0);
 
         let mut e_pot = 0.0;
         if self.scenario.has_gravity() {
@@ -515,7 +547,7 @@ impl Simulation {
             e_pot = Self::instrument(&hooks, &tel, SphStage::Gravity.label(), || {
                 add_gravity_rows(&mut self.particles, tree, DEFAULT_THETA, self.softening, &active)
             });
-            self.assert_finite_after(SphStage::Gravity);
+            self.assert_finite_after(SphStage::Gravity, &active, 0);
         }
 
         if let Some(driver) = &self.driver {
@@ -523,7 +555,7 @@ impl Simulation {
             Self::instrument(&hooks, &tel, SphStage::Turbulence.label(), || {
                 driver.apply_rows(&mut self.particles, time, &active)
             });
-            self.assert_finite_after(SphStage::Turbulence);
+            self.assert_finite_after(SphStage::Turbulence, &active, 0);
         }
 
         let dt = {
@@ -563,7 +595,8 @@ impl Simulation {
         Self::instrument(&hooks, &tel, SphStage::UpdateQuantities.label(), || {
             update_quantities(&mut self.particles, &self.timestep_bins)
         });
-        self.assert_finite_after(SphStage::UpdateQuantities);
+        // The kick wrote the active rows; the drift moved every particle.
+        self.assert_finite_after(SphStage::UpdateQuantities, &active, n);
 
         self.time += dt;
         self.step += 1;
@@ -861,6 +894,18 @@ mod tests {
         let mut particles = sim.particles().clone();
         particles.u[0] = f64::NAN;
         sim = Simulation::new(sim.scenario().clone(), particles);
+        sim.step();
+    }
+
+    #[test]
+    #[should_panic(expected = "stage FindNeighbors produced a non-finite quantity (u)")]
+    fn binned_corrupted_state_panics_with_the_offending_stage_name() {
+        // With bins the row stages check only their active rows; the
+        // cycle-start check after FindNeighbors still covers every row.
+        let sim = Simulation::turbulence(6, 4);
+        let mut particles = sim.particles().clone();
+        particles.u[0] = f64::NAN;
+        let mut sim = Simulation::new(sim.scenario().clone(), particles).with_timestep_bins(4);
         sim.step();
     }
 

@@ -51,6 +51,9 @@ pub struct NeighborBuildStats {
 /// The reusable buffers threaded through every stage of one timestep.
 pub struct StepWorkspace {
     tree: Octree,
+    /// False when the last [`StepWorkspace::domain_sync`] skipped the tree
+    /// (or none was ever built): `tree` then describes older positions.
+    tree_current: bool,
     neighbors: NeighborLists,
     neighbor_scratch: NeighborScratch,
     grid: CellGrid,
@@ -70,6 +73,7 @@ impl StepWorkspace {
     pub fn new() -> Self {
         Self {
             tree: Octree::empty(),
+            tree_current: false,
             neighbors: NeighborLists::default(),
             neighbor_scratch: NeighborScratch::new(),
             grid: CellGrid::new(),
@@ -94,7 +98,13 @@ impl StepWorkspace {
         self.build_stats
     }
 
-    /// The octree of the current step (valid after [`StepWorkspace::rebuild_tree`]).
+    /// The octree of the current step. Valid after
+    /// [`StepWorkspace::rebuild_tree`], or after a
+    /// [`StepWorkspace::domain_sync`] or [`StepWorkspace::refresh_tree`]
+    /// that returned `true` — one told that gravity walks the tree, or one
+    /// whose substep takes the octree neighbour builder. After one that
+    /// returned `false` it still describes the positions of the last build,
+    /// and nothing of this substep may walk it.
     pub fn tree(&self) -> &Octree {
         &self.tree
     }
@@ -110,6 +120,56 @@ impl StepWorkspace {
     pub fn rebuild_tree(&mut self, particles: &ParticleSet, max_leaf_size: usize) {
         self.tree
             .rebuild(&particles.x, &particles.y, &particles.z, &particles.m, max_leaf_size);
+        self.tree_current = true;
+    }
+
+    /// Rebuild the octree when a stage of the substep over `particles` walks
+    /// it: `gravity` (the caller's Barnes–Hut walk uses this tree), or the
+    /// neighbour build takes the octree path — the builder is forced to
+    /// [`NeighborBuilder::Octree`], `Auto` is below [`CELL_LIST_CUTOFF`], or
+    /// the grid declines the set ([`CellGrid::accepts`], the test
+    /// [`CellGrid::rebuild`] applies). Otherwise leave the arena as it is and
+    /// mark the tree stale. Returns whether the tree was rebuilt.
+    pub fn refresh_tree(&mut self, particles: &ParticleSet, gravity: bool, max_leaf_size: usize) -> bool {
+        let walked = gravity || !self.sweeps_cells(particles);
+        if walked {
+            self.rebuild_tree(particles, max_leaf_size);
+        } else {
+            self.tree_current = false;
+        }
+        walked
+    }
+
+    /// Whether the neighbour build over `particles` sweeps the cell grid.
+    fn sweeps_cells(&self, particles: &ParticleSet) -> bool {
+        match self.builder {
+            NeighborBuilder::Octree => false,
+            NeighborBuilder::CellList => CellGrid::accepts(particles),
+            NeighborBuilder::Auto => particles.len() >= CELL_LIST_CUTOFF && CellGrid::accepts(particles),
+        }
+    }
+
+    /// Bin the grid when the neighbour build sweeps it; on the octree path,
+    /// insist the tree was built on the current positions.
+    fn prepare_builder(&mut self, particles: &ParticleSet) -> bool {
+        let use_cells = self.sweeps_cells(particles) && self.grid.rebuild(particles);
+        assert!(
+            use_cells || self.tree_current,
+            "the octree neighbour builder needs a tree built on the current positions \
+             (domain_sync skipped it, or it was never built)"
+        );
+        use_cells
+    }
+
+    /// Record what the neighbour build just did.
+    fn record_build(&mut self, use_cells: bool) {
+        self.build_stats = NeighborBuildStats {
+            used_cells: use_cells,
+            occupied_cells: if use_cells { self.grid.occupied_cells() } else { 0 },
+            total_cells: if use_cells { self.grid.total_cells() } else { 0 },
+            mean_occupancy: if use_cells { self.grid.mean_occupancy() } else { 0.0 },
+            rows: self.neighbors.total_entries(),
+        };
     }
 
     /// Build the CSR neighbour lists, recording the per-particle neighbour
@@ -121,40 +181,33 @@ impl StepWorkspace {
     /// the octree below it; either forced path still falls back to the
     /// octree when [`CellGrid::rebuild`] declines the set (empty, or
     /// smoothing lengths too polydisperse for a uniform grid).
+    ///
+    /// # Panics
+    ///
+    /// Panics on the octree path when the tree is stale: the last
+    /// [`StepWorkspace::domain_sync`] skipped it, or none was ever built.
     pub fn find_neighbors(&mut self, particles: &mut ParticleSet) {
-        let use_cells = match self.builder {
-            NeighborBuilder::Octree => false,
-            NeighborBuilder::CellList => self.grid.rebuild(particles),
-            NeighborBuilder::Auto => particles.len() >= CELL_LIST_CUTOFF && self.grid.rebuild(particles),
-        };
+        let use_cells = self.prepare_builder(particles);
         if use_cells {
             find_neighbors_cells_into(particles, &self.grid, &mut self.neighbors, &mut self.neighbor_scratch);
         } else {
             find_neighbors_into(particles, &self.tree, &mut self.neighbors, &mut self.neighbor_scratch);
         }
-        self.build_stats = NeighborBuildStats {
-            used_cells: use_cells,
-            occupied_cells: if use_cells { self.grid.occupied_cells() } else { 0 },
-            total_cells: if use_cells { self.grid.total_cells() } else { 0 },
-            mean_occupancy: if use_cells { self.grid.mean_occupancy() } else { 0.0 },
-            rows: self.neighbors.total_entries(),
-        };
+        self.record_build(use_cells);
     }
 
     /// [`StepWorkspace::find_neighbors`] restricted to a sorted subset of
     /// rows — the active-set build of an individual-timestep substep. The
     /// resulting lists still cover the full particle set (off-subset rows are
     /// zero-length), so every row-subset kernel keeps indexing by absolute
-    /// particle id. Follows the same builder policy as the full build; both
-    /// subset paths require [`StepWorkspace::rebuild_tree`] to have run on
-    /// the current positions (the octree path queries the tree, and the
-    /// propagator rebuilds it every substep for gravity anyway).
+    /// particle id. Follows the same builder policy as the full build. The
+    /// octree path queries the tree, so it needs one built on the current
+    /// positions — by [`StepWorkspace::rebuild_tree`], or by a
+    /// [`StepWorkspace::domain_sync`], which builds it exactly when this
+    /// path will be taken (and panics like the full build when it is stale);
+    /// the cell path bins its own grid and reads no tree.
     pub fn find_neighbors_rows(&mut self, particles: &mut ParticleSet, rows: &[u32]) {
-        let use_cells = match self.builder {
-            NeighborBuilder::Octree => false,
-            NeighborBuilder::CellList => self.grid.rebuild(particles),
-            NeighborBuilder::Auto => particles.len() >= CELL_LIST_CUTOFF && self.grid.rebuild(particles),
-        };
+        let use_cells = self.prepare_builder(particles);
         if use_cells {
             find_neighbors_cells_rows_into(
                 particles,
@@ -172,13 +225,7 @@ impl StepWorkspace {
                 &mut self.neighbor_scratch,
             );
         }
-        self.build_stats = NeighborBuildStats {
-            used_cells: use_cells,
-            occupied_cells: if use_cells { self.grid.occupied_cells() } else { 0 },
-            total_cells: if use_cells { self.grid.total_cells() } else { 0 },
-            mean_occupancy: if use_cells { self.grid.mean_occupancy() } else { 0.0 },
-            rows: self.neighbors.total_entries(),
-        };
+        self.record_build(use_cells);
     }
 
     /// Split `rows` of the current CSR lists (valid after
@@ -221,7 +268,11 @@ impl StepWorkspace {
 
     /// The whole `DomainDecompAndSync` body of the single-rank propagator:
     /// wrap positions back into a periodic box, re-sort the storage into
-    /// Morton order when the reorder cadence says so, and rebuild the octree.
+    /// Morton order when the reorder cadence says so, and rebuild the octree
+    /// when a stage of the substep walks it ([`StepWorkspace::refresh_tree`]:
+    /// `gravity`, or the octree neighbour builder). Returns whether the tree
+    /// was rebuilt; when it was not, [`StepWorkspace::tree`] is stale until
+    /// the next build, and the octree neighbour path refuses to walk it.
     ///
     /// The `reorder_due` decision is **hoisted above the Morton-key
     /// recompute**: a non-reorder step never touches the key/perm lanes — it
@@ -233,13 +284,14 @@ impl StepWorkspace {
         particles: &mut ParticleSet,
         origin: &mut Vec<u32>,
         reorder_due: bool,
+        gravity: bool,
         max_leaf_size: usize,
-    ) {
+    ) -> bool {
         particles.wrap_positions();
         if reorder_due {
             self.reorder_by_morton(particles, origin);
         }
-        self.rebuild_tree(particles, max_leaf_size);
+        self.refresh_tree(particles, gravity, max_leaf_size)
     }
 
     /// Sort the particle storage into Morton (Z-order) order, so that octree
@@ -290,7 +342,7 @@ impl Default for StepWorkspace {
 mod tests {
     use super::*;
     use crate::init::lattice_cube;
-    use crate::physics::neighbors::find_neighbors;
+    use crate::physics::neighbors::{build_tree, find_neighbors};
 
     #[test]
     fn workspace_pipeline_matches_the_allocating_path() {
@@ -304,6 +356,103 @@ mod tests {
         assert_eq!(ws.neighbors().offsets, fresh.offsets);
         assert_eq!(ws.neighbors().indices, fresh.indices);
         assert_eq!(a.neighbor_count, b.neighbor_count);
+    }
+
+    /// Move every particle by a smooth position-dependent swirl of amplitude
+    /// `by`, so a tree built before the move no longer bounds its leaves.
+    fn swirl(p: &mut ParticleSet, by: f64) {
+        for i in 0..p.len() {
+            let (x, y, z) = (p.x[i], p.y[i], p.z[i]);
+            p.x[i] += by * (7.0 * y).sin();
+            p.y[i] += by * (5.0 * z).cos();
+            p.z[i] += by * (6.0 * x).sin();
+        }
+    }
+
+    /// A lattice above [`CELL_LIST_CUTOFF`] whose smoothing lengths span a
+    /// factor of 3, past [`crate::celllist::POLYDISPERSITY_LIMIT`].
+    fn polydisperse_lattice() -> ParticleSet {
+        let mut p = lattice_cube(11, 1.0, 1.0, 1.2);
+        for i in 0..p.len() {
+            p.h[i] *= 0.6 + 1.2 * p.x[i];
+        }
+        assert!(p.len() >= CELL_LIST_CUTOFF && !CellGrid::accepts(&p));
+        p
+    }
+
+    #[test]
+    fn octree_neighbour_paths_never_walk_a_stale_tree() {
+        // Two sets the Auto builder serves from the octree: one below the
+        // cell-list cutoff, one the grid declines. Neither has gravity, so
+        // only the neighbour build can make `domain_sync` keep the tree.
+        for mut p in [lattice_cube(5, 1.0, 1.0, 1.2), polydisperse_lattice()] {
+            let mut origin: Vec<u32> = (0..p.len() as u32).collect();
+            let mut ws = StepWorkspace::new();
+            assert!(ws.domain_sync(&mut p, &mut origin, false, false, 16));
+            ws.find_neighbors(&mut p);
+            let rows: Vec<u32> = (0..p.len() as u32).step_by(3).collect();
+            for full in [true, false] {
+                let before_move = build_tree(&p, 16);
+                swirl(&mut p, 0.06);
+                assert!(ws.domain_sync(&mut p, &mut origin, false, false, 16));
+                let mut q = p.clone();
+                let mut stale = p.clone();
+                let fresh = build_tree(&q, 16);
+                let (mut want, mut was) = (NeighborLists::default(), NeighborLists::default());
+                let mut scratch = NeighborScratch::new();
+                if full {
+                    ws.find_neighbors(&mut p);
+                    find_neighbors_into(&mut q, &fresh, &mut want, &mut scratch);
+                    find_neighbors_into(&mut stale, &before_move, &mut was, &mut scratch);
+                } else {
+                    ws.find_neighbors_rows(&mut p, &rows);
+                    find_neighbors_rows_into(&mut q, &fresh, &rows, &mut want, &mut scratch);
+                    find_neighbors_rows_into(&mut stale, &before_move, &rows, &mut was, &mut scratch);
+                }
+                assert!(!ws.neighbor_build_stats().used_cells);
+                assert_eq!(ws.neighbors().offsets, want.offsets);
+                assert_eq!(ws.neighbors().indices, want.indices);
+                assert_eq!(p.neighbor_count, q.neighbor_count);
+                // The move matters: the tree of the old positions misses pairs.
+                assert_ne!(
+                    was.indices, want.indices,
+                    "the swirl must change what a stale tree finds"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_grid_accepted_set_without_gravity_leaves_the_tree_unbuilt() {
+        let mut p = lattice_cube(11, 1.0, 1.0, 1.2);
+        assert!(p.len() >= CELL_LIST_CUTOFF && CellGrid::accepts(&p));
+        let mut origin: Vec<u32> = (0..p.len() as u32).collect();
+        let mut ws = StepWorkspace::new();
+        assert!(!ws.domain_sync(&mut p, &mut origin, false, false, 16));
+        assert_eq!(
+            ws.tree().nodes()[0].count(),
+            0,
+            "no stage walks the tree, so none is built"
+        );
+        ws.find_neighbors(&mut p);
+        assert!(ws.neighbor_build_stats().used_cells);
+        // Gravity walks the tree, and so does a builder forced onto it.
+        assert!(ws.domain_sync(&mut p, &mut origin, false, true, 16));
+        ws.set_neighbor_builder(NeighborBuilder::Octree);
+        assert!(ws.domain_sync(&mut p, &mut origin, false, false, 16));
+    }
+
+    #[test]
+    #[should_panic(expected = "needs a tree built on the current positions")]
+    fn the_octree_builder_refuses_a_tree_domain_sync_skipped() {
+        let mut p = lattice_cube(11, 1.0, 1.0, 1.2);
+        let mut origin: Vec<u32> = (0..p.len() as u32).collect();
+        let mut ws = StepWorkspace::new();
+        ws.rebuild_tree(&p, 16);
+        swirl(&mut p, 0.06);
+        assert!(!ws.domain_sync(&mut p, &mut origin, false, false, 16));
+        ws.set_neighbor_builder(NeighborBuilder::Octree);
+        ws.find_neighbors(&mut p);
     }
 
     #[test]
